@@ -5,17 +5,18 @@ recovery score against the simulator's ground-truth clusters.
 `audit_full_rank` checks the exact full-rank identities of the
 product-regularized solver. `compare_configurations` runs a plan of
 (objective, lambda, rank, family) choices over one data matrix and
-collects one contrast per choice.
+collects one contrast per choice. Both take the spectrum of X once and
+solve every entry from it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, cosine_of_rows, svd
+from .matrix_core import Spectrum, as_matrix, cosine_of_rows, spectrum
 from .mf_solvers import (EmbeddingPair, predicted_scores, solve_objective1,
                          solve_objective2)
 from .rescale import apply_scaling, named_scaling, random_scaling
@@ -100,7 +101,8 @@ class FullRankAudit:
 
 
 def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
-                    tol_scores: float = 1e-8) -> FullRankAudit:
+                    tol_scores: float = 1e-8,
+                    spec: Spectrum | None = None) -> FullRankAudit:
     """Verify the full-rank identities of the product-regularized solver.
 
     (a) collapse family makes the item-item cosine matrix the identity;
@@ -111,16 +113,18 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
     (d) predicted scores are invariant across seeded random rescalings.
 
     Rank-deficient inputs drop the zero-sigma dimensions; (a) and (b) only
-    hold at full rank and are marked skipped in that case.
+    hold at full rank and are marked skipped in that case. `spec`, when
+    given, is the spectrum of X.
     """
     X = as_matrix(X)
-    n, p = X.shape
-    spectrum = svd(X, min(n, p)).singular_values
-    k = int(np.count_nonzero(spectrum > spectrum[0] * 1e-10))
+    p = X.shape[1]
+    if spec is None:
+        spec = spectrum(X)
+    k = spec.rank
     zero_dims = p - k
     full_rank = k == p
 
-    pair = solve_objective1(X, k, lam)
+    pair = solve_objective1(spec, k, lam)
     collapse = apply_scaling(pair, named_scaling(pair, "collapse"))
     inverse = apply_scaling(pair, named_scaling(pair, "inverse"))
 
@@ -172,6 +176,10 @@ class PlanEntry:
     def __post_init__(self):
         if self.objective not in (1, 2):
             raise ValueError("objective must be 1 or 2")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
     def label(self) -> str:
         return f"obj{self.objective}_lam{self.lam:g}_k{self.rank}_{self.family}"
@@ -198,6 +206,7 @@ class PlanResult:
 class AuditReport:
     results: tuple[PlanResult, ...]
     ground_truth_contrast: ClusterContrast
+    spectrum: Spectrum  # of X, shared by every entry; not serialized
 
     def to_dict(self) -> dict:
         return {"ground_truth_contrast": self.ground_truth_contrast.to_dict(),
@@ -205,6 +214,7 @@ class AuditReport:
 
 
 def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
+    """Solve one entry; X is the training matrix or its `Spectrum`."""
     solver = solve_objective1 if entry.objective == 1 else solve_objective2
     pair = solver(X, entry.rank, entry.lam)
     if entry.family != "identity":
@@ -212,18 +222,20 @@ def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
     return pair
 
 
-def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
-                           max_workers: int = 1) -> AuditReport:
+def compare_configurations(X, gt: GroundTruth,
+                           plan: list[PlanEntry]) -> AuditReport:
     """One item-item cosine matrix and cluster contrast per plan entry.
 
-    Exported similarity matrices are permuted so items appear by cluster,
-    then by descending popularity within each cluster.
+    The spectrum of X is taken once and shared by every entry; the report
+    keeps it. Exported similarity matrices are permuted so items appear by
+    cluster, then by descending popularity within each cluster.
     """
     X = as_matrix(X)
+    spec = spectrum(X)
     order = figure_item_order(gt)
 
     def run(entry: PlanEntry) -> PlanResult:
-        pair = solve_plan_entry(X, entry)
+        pair = solve_plan_entry(spec, entry)
         sim = item_item(X, pair, METRIC_COSINE, on_zero="drop")
         contrast = cluster_contrast(sim, gt)
         # permute kept items into figure order for export
@@ -239,13 +251,9 @@ def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
         return PlanResult(entry=entry, contrast=contrast,
                           similarity=permuted, item_order=order)
 
-    if max_workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = tuple(ex.map(run, plan))
-    else:
-        results = tuple(run(e) for e in plan)
-
+    results = tuple(run(e) for e in plan)
     gt_sim = SimilarityMatrix(values=ground_truth_similarity(gt),
                               kind=KIND_ITEM_ITEM, metric=METRIC_DOT)
     return AuditReport(results=results,
-                       ground_truth_contrast=cluster_contrast(gt_sim, gt))
+                       ground_truth_contrast=cluster_contrast(gt_sim, gt),
+                       spectrum=spec)

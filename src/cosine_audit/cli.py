@@ -11,7 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -21,11 +21,11 @@ from . import __version__
 from .analysis import (AuditReport, PlanEntry, audit_full_rank,
                        compare_configurations)
 from .errors import ConfigError
-from .io_utils import (read_json, read_matrix_csv, write_json,
-                       write_manifest, write_matrix_csv, write_similarity)
+from .io_utils import (read_json, read_matrix_csv, write_embedding_pair,
+                       write_json, write_manifest, write_matrix_csv,
+                       write_similarity)
 from .mf_solvers import solve_objective1, solve_objective2
 from .rescale import FAMILIES, apply_scaling, named_scaling
-from .io_utils import write_embedding_pair
 from .similarity import item_item, user_item, user_user
 from .synthgen import GroundTruth, SimConfig, sample_interactions
 
@@ -47,6 +47,10 @@ DEFAULT_PLAN = [
     {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "inverse"},
     {"objective": 2, "lambda": 100.0, "rank": 50, "family": "identity"},
 ]
+
+# Written next to X.csv by the step that simulated it: the resolved sim
+# config X was drawn from. X.csv is reused only when this record matches.
+SIM_RECORD = "X.sim.json"
 
 
 def _load_config(path) -> dict:
@@ -83,10 +87,11 @@ def _solve_settings(cfg: dict, args) -> dict:
         solve["rank"] = args.rank
     if solve["objective"] not in (1, 2):
         raise ConfigError("objective", "must be 1 or 2")
-    if solve["lambda"] < 0:
-        raise ConfigError("lambda", "must be >= 0")
-    if solve["rank"] < 1:
-        raise ConfigError("rank", "must be >= 1")
+    lam, rank = solve["lambda"], solve["rank"]
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+        raise ConfigError("lambda", f"must be finite and >= 0, got {lam}")
+    if not (isinstance(rank, int) and rank >= 1):
+        raise ConfigError("rank", f"must be an integer >= 1, got {rank}")
     return solve
 
 
@@ -116,33 +121,41 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _load_or_simulate(out: Path, cfg: dict, args):
-    x_path = out / "X.csv"
-    gt_path = out / "ground_truth.json"
-    if x_path.exists() and gt_path.exists():
-        return read_matrix_csv(x_path), GroundTruth.from_dict(read_json(gt_path))
-    sim_cfg = _sim_config(cfg, args)
+def _simulate(out: Path, sim_cfg: SimConfig):
     sample, gt = sample_interactions(sim_cfg)
-    write_matrix_csv(x_path, sample.matrix)
-    write_json(gt_path, gt.to_dict())
+    write_matrix_csv(out / "X.csv", sample.matrix)
+    write_json(out / "ground_truth.json", gt.to_dict())
+    write_json(out / SIM_RECORD, sim_cfg.to_dict())
     return sample.matrix, gt
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("COSINE_AUDIT_THREADS", "1")
+def _load_or_simulate(out: Path, cfg: dict, args):
+    """(X, ground truth, sim config): reused from `out` when its simulation
+    record matches the resolved sim config, simulated when absent."""
+    sim_cfg = _sim_config(cfg, args)
+    x_path = out / "X.csv"
+    gt_path = out / "ground_truth.json"
+    if not (x_path.exists() and gt_path.exists()):
+        return (*_simulate(out, sim_cfg), sim_cfg)
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        recorded = read_json(out / SIM_RECORD)
+    except (OSError, ValueError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        recorded = {}
+    diff = ", ".join(f"{k} {recorded.get(k)!r} there, {v!r} here"
+                     for k, v in sim_cfg.to_dict().items() if recorded.get(k) != v)
+    if diff:
+        raise ConfigError("sim", f"{x_path} was not simulated from this config "
+                                 f"({diff}); use another --out or rerun simulate")
+    return read_matrix_csv(x_path), GroundTruth.from_dict(read_json(gt_path)), sim_cfg
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sim_cfg = _sim_config(cfg, args)
     out = _out_dir(cfg, args)
-    sample, gt = sample_interactions(sim_cfg)
-    write_matrix_csv(out / "X.csv", sample.matrix)
-    write_json(out / "ground_truth.json", gt.to_dict())
+    _simulate(out, sim_cfg)
     write_manifest(out, sim_cfg.to_dict(), sim_cfg.seed, __version__)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
@@ -160,12 +173,12 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     solve = _solve_settings(cfg, args)
     out = _out_dir(cfg, args)
-    X, _ = _load_or_simulate(out, cfg, args)
+    X, _, sim_cfg = _load_or_simulate(out, cfg, args)
     X, pair = _solve(X, solve)
     pair_dir = out / f"pair_obj{solve['objective']}"
     write_embedding_pair(pair_dir, pair)
-    write_manifest(out, {"solve": solve}, int(cfg.get("sim", {}).get("seed", 0)),
-                   __version__)
+    write_manifest(out, {"sim": sim_cfg.to_dict(), "solve": solve},
+                   sim_cfg.seed, __version__)
     print(f"wrote embedding pair to {pair_dir}")
     return EXIT_OK
 
@@ -174,7 +187,7 @@ def cmd_similarity(args) -> int:
     cfg = _load_config(args.config)
     solve = _solve_settings(cfg, args)
     out = _out_dir(cfg, args)
-    X, _ = _load_or_simulate(out, cfg, args)
+    X, _, _ = _load_or_simulate(out, cfg, args)
     X, pair = _solve(X, solve)
     family = args.family or "identity"
     if family not in FAMILIES:
@@ -197,16 +210,17 @@ def cmd_audit(args) -> int:
     cfg = _load_config(args.config)
     plan = _plan(cfg, args)
     out = _out_dir(cfg, args)
-    X, gt = _load_or_simulate(out, cfg, args)
+    X, gt, sim_cfg = _load_or_simulate(out, cfg, args)
 
     written: list[Path] = []
     try:
-        report = compare_configurations(X, gt, plan, max_workers=_max_workers())
+        report = compare_configurations(X, gt, plan)
         p = X.shape[1]
         full_rank = None
         fr_entries = [e for e in plan if e.rank == p and e.objective == 1]
         if fr_entries:
-            full_rank = audit_full_rank(X, fr_entries[0].lam)
+            full_rank = audit_full_rank(X, fr_entries[0].lam,
+                                        spec=report.spectrum)
         for res in report.results:
             name = f"similarity_{res.entry.label()}"
             write_similarity(out, name, res.similarity,
@@ -216,11 +230,9 @@ def cmd_audit(args) -> int:
         if full_rank is not None:
             doc["full_rank"] = full_rank.to_dict()
         write_json(out / "report.json", doc)
-        sim_section = dict(DEFAULT_SIM)
-        sim_section.update(cfg.get("sim", cfg if "n" in cfg else {}))
-        write_manifest(out, {"sim": sim_section,
+        write_manifest(out, {"sim": sim_cfg.to_dict(),
                              "plan": [e.to_dict() for e in plan]},
-                       int(sim_section["seed"]), __version__)
+                       sim_cfg.seed, __version__)
     except Exception:
         for f in written:
             f.unlink(missing_ok=True)
@@ -234,7 +246,7 @@ def cmd_fullrank_check(args) -> int:
     cfg = _load_config(args.config)
     solve = _solve_settings(cfg, args)
     out = _out_dir(cfg, args)
-    X, _ = _load_or_simulate(out, cfg, args)
+    X, _, _ = _load_or_simulate(out, cfg, args)
     n, p = X.shape
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")

@@ -17,14 +17,37 @@ from .mf_solvers import EmbeddingPair
 from .similarity import SimilarityMatrix
 
 FLOAT_FMT = "%.17g"
+# gray level -> its decimal text, for the PGM writer
+_GRAY_TEXT = [str(i) for i in range(256)]
+
+
+def _binary_csv(m: np.ndarray) -> bytes | None:
+    """CSV bytes of a matrix whose entries are all +0.0 or 1.0, else None.
+
+    FLOAT_FMT prints those as "0" and "1", so each row is one digit per
+    entry between commas. -0.0 prints "-0" and takes the general path.
+    """
+    if m.size == 0 or not (np.all((m == 0.0) | (m == 1.0))
+                           and not np.signbit(m).any()):
+        return None
+    n, p = m.shape
+    buf = np.full((n, 2 * p), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = (m == 1.0).view(np.uint8) + np.uint8(ord("0"))
+    buf[:, -1] = ord("\n")
+    return buf.tobytes()
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    data = _binary_csv(m)
+    if data is not None:
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    line = ",".join([FLOAT_FMT] * m.shape[1]) + "\n"
     with open(path, "w", newline="\n") as f:
         for row in m:
-            f.write(",".join(FLOAT_FMT % x for x in row))
-            f.write("\n")
+            f.write(line % tuple(row.tolist()))
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -52,7 +75,7 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(f"P2\n{w} {h}\n255\n")
         for row in gray:
-            f.write(" ".join(str(x) for x in row))
+            f.write(" ".join([_GRAY_TEXT[x] for x in row.tolist()]))
             f.write("\n")
 
 

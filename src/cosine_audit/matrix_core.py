@@ -1,4 +1,5 @@
-"""Dense matrix primitives: truncated SVD, row normalization, cosine of rows.
+"""Dense matrix primitives: the spectrum of X, truncated SVD, row
+normalization, cosine of rows.
 
 All matrices are plain float64 numpy arrays. Tolerance conventions used
 throughout the package: 1e-12 for exact algebraic identities on small
@@ -8,13 +9,21 @@ full SVD at desk scale.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroRowError
 
+# A row counts as zero when its norm is below ZERO_NORM_RELATIVE times the
+# largest row norm of its matrix, or below ZERO_NORM_THRESHOLD outright.
 ZERO_NORM_THRESHOLD = 1e-300
+ZERO_NORM_RELATIVE = 1e-12
+# Eigenvalues of X^T X below GRAM_RANK_FACTOR * max(n, p) * eps times the
+# largest are rounding noise: forming the Gram squares the condition number,
+# so a true zero singular value comes back near sqrt(max(n, p) * eps) * sigma_1.
+GRAM_RANK_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,64 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Singular values and right singular vectors of an n x p matrix X.
+
+    `singular_values` holds the min(n, p) largest, descending, with every
+    value below `rank_tol` set to exactly 0; `right` holds the matching
+    columns of V under the sign convention of `svd`. Both closed forms
+    depend on X only through these.
+    """
+
+    singular_values: np.ndarray
+    right: np.ndarray
+    rank_tol: float
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.singular_values))
+
+    def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma, V) of the top k dimensions; warns when some sigma are 0."""
+        if not 1 <= k <= self.singular_values.shape[0]:
+            raise ValueError(f"rank k={k} out of range "
+                             f"[1, {self.singular_values.shape[0]}]")
+        s = self.singular_values[:k]
+        n_zero = k - int(np.count_nonzero(s))
+        if n_zero:
+            warnings.warn(
+                f"{n_zero} of the top {k} singular values are zero; "
+                "the corresponding embedding dimensions are zero-padded",
+                RuntimeWarning, stacklevel=3)
+        return s, self.right[:, :k]
+
+
+def _fix_signs(v: np.ndarray) -> np.ndarray:
+    """Flip each column so its entry of largest magnitude is positive."""
+    anchor = np.argmax(np.abs(v), axis=0)
+    signs = np.sign(v[anchor, np.arange(v.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def spectrum(m: np.ndarray) -> Spectrum:
+    """Spectrum of m from the eigendecomposition of the p x p Gram m^T m.
+
+    Costs one Gram and one p x p eigh instead of an n x p SVD, and never
+    forms the n x p left factor.
+    """
+    m = as_matrix(m)
+    n, p = m.shape
+    w, v = np.linalg.eigh(m.T @ m)
+    r = min(n, p)
+    w, v = w[::-1][:r], v[:, ::-1][:, :r]
+    cut = max(w[0], 0.0) * max(n, p) * np.finfo(np.float64).eps * GRAM_RANK_FACTOR
+    s = np.where(w > cut, np.sqrt(np.maximum(w, 0.0)), 0.0)
+    return Spectrum(singular_values=s, right=v * _fix_signs(v),
+                    rank_tol=float(np.sqrt(cut)))
+
+
 def svd(m: np.ndarray, r: int) -> SvdFactors:
     """Rank-r truncated SVD with a deterministic sign convention.
 
@@ -61,14 +128,27 @@ def svd(m: np.ndarray, r: int) -> SvdFactors:
     u, s, vt = u[:, :r], s[:r], vt[:r, :]
     v = vt.T
     # sign convention keyed on the right singular vectors
-    anchor = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[anchor, np.arange(r)])
-    signs[signs == 0] = 1.0
+    signs = _fix_signs(v)
     return SvdFactors(left=u * signs, singular_values=s, right=v * signs)
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=1)
+
+
+def _zero_norms(norms: np.ndarray) -> np.ndarray:
+    top = norms.max() if norms.size else 0.0
+    return np.flatnonzero(norms < max(top * ZERO_NORM_RELATIVE, ZERO_NORM_THRESHOLD))
+
+
+def zero_rows(m: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose norm is zero relative to the largest row.
+
+    An embedding row of an item nobody interacted with comes out of the
+    spectrum at rounding level (~1e-32), not at 0; its unit-normalised
+    cosines would be noise.
+    """
+    return _zero_norms(row_norms(m))
 
 
 def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,11 +157,12 @@ def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (normalized matrix, scale vector) where scale[i] = 1/||row_i||,
     so that the output equals diag(scale) @ m.
 
-    Raises ZeroRowError for any row with (numerically) zero norm.
+    Raises ZeroRowError for any row with (numerically) zero norm, as
+    `zero_rows` defines it.
     """
     m = as_matrix(m)
     norms = row_norms(m)
-    bad = np.flatnonzero(norms < ZERO_NORM_THRESHOLD)
+    bad = _zero_norms(norms)
     if bad.size:
         raise ZeroRowError(int(bad[0]))
     scale = 1.0 / norms

@@ -18,12 +18,12 @@ verification of both closed forms on small instances.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix_core import as_matrix, svd
+from .matrix_core import Spectrum, as_matrix, spectrum
 
 OBJECTIVE_PRODUCT_REG = "product-reg"
 OBJECTIVE_SPLIT_REG = "split-reg"
@@ -41,8 +41,12 @@ class EmbeddingPair:
     sigma: np.ndarray      # top-k singular values of the training matrix
 
     def __post_init__(self):
-        assert self.A.shape == self.B.shape
-        assert self.A.shape[1] == self.rank
+        if self.A.ndim != 2 or self.A.shape != self.B.shape:
+            raise ValueError(f"factor shapes differ: A {self.A.shape}, "
+                             f"B {self.B.shape}")
+        if self.A.shape[1] != self.rank:
+            raise ValueError(f"factors have {self.A.shape[1]} columns, "
+                             f"rank is {self.rank}")
 
     def with_factors(self, A: np.ndarray, B: np.ndarray, marker: str) -> "EmbeddingPair":
         objective = self.objective
@@ -51,55 +55,39 @@ class EmbeddingPair:
         return replace(self, A=A, B=B, objective=objective)
 
 
-def _check_rank(X: np.ndarray, k: int) -> None:
-    if not 1 <= k <= min(X.shape):
-        raise ValueError(f"rank k={k} out of range [1, {min(X.shape)}]")
+def _top(X, k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, V) of the top k dimensions of X, given as a matrix or as its
+    Spectrum; validates k and lambda."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    spec = X if isinstance(X, Spectrum) else spectrum(X)
+    return spec.top(k)
 
 
-def _positive_mask(sigma: np.ndarray) -> np.ndarray:
-    # relative threshold: sigma below sigma_1 * 1e-12 counts as zero
-    return sigma > (sigma[0] if sigma[0] > 0 else 1.0) * 1e-12
+def solve_objective1(X, k: int, lam: float) -> EmbeddingPair:
+    """Closed form of the product-regularized objective (symmetric split).
 
-
-def _warn_if_deficient(mask: np.ndarray, k: int) -> None:
-    n_zero = k - int(np.count_nonzero(mask))
-    if n_zero:
-        warnings.warn(
-            f"{n_zero} of the top {k} singular values are zero; "
-            "the corresponding embedding dimensions are zero-padded",
-            RuntimeWarning, stacklevel=3)
-
-
-def solve_objective1(X: np.ndarray, k: int, lam: float) -> EmbeddingPair:
-    """Closed form of the product-regularized objective (symmetric split)."""
-    X = as_matrix(X)
-    _check_rank(X, k)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    f = svd(X, k)
-    s = f.singular_values
-    pos = _positive_mask(s)
-    _warn_if_deficient(pos, k)
+    X is the n x p training matrix or its `Spectrum`.
+    """
+    s, v = _top(X, k, lam)
+    pos = s > 0
     shrink = np.where(pos, 1.0 / (1.0 + lam / np.where(pos, s, 1.0) ** 2), 0.0)
-    A = f.right * np.sqrt(shrink)
+    A = v * np.sqrt(shrink)
     return EmbeddingPair(A=A, B=A.copy(), lam=lam, rank=k,
                          objective=OBJECTIVE_PRODUCT_REG, sigma=s.copy())
 
 
-def solve_objective2(X: np.ndarray, k: int, lam: float) -> EmbeddingPair:
-    """Closed form of the split-regularized objective (unique up to rotation)."""
-    X = as_matrix(X)
-    _check_rank(X, k)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    f = svd(X, k)
-    s = f.singular_values
-    pos = _positive_mask(s)
-    _warn_if_deficient(pos, k)
+def solve_objective2(X, k: int, lam: float) -> EmbeddingPair:
+    """Closed form of the split-regularized objective (unique up to rotation).
+
+    X is the n x p training matrix or its `Spectrum`.
+    """
+    s, v = _top(X, k, lam)
+    pos = s > 0
     safe = np.where(pos, s, 1.0)
     gain = np.where(pos, np.maximum(0.0, 1.0 - lam / safe), 0.0)
-    A = f.right * np.sqrt(gain / safe)
-    B = f.right * np.sqrt(gain * safe)
+    A = v * np.sqrt(gain / safe)
+    B = v * np.sqrt(gain * safe)
     return EmbeddingPair(A=A, B=B, lam=lam, rank=k,
                          objective=OBJECTIVE_SPLIT_REG, sigma=s.copy())
 
@@ -162,7 +150,7 @@ def gradient_descent_oracle(X, k: int, lam: float, objective: str,
     if objective not in _LOSSES:
         raise ValueError(f"unknown objective {objective!r}")
     X = as_matrix(X)
-    _check_rank(X, k)
+    sigma, _ = spectrum(X).top(k)
     loss_fn, grad_fn = _LOSSES[objective], _GRADS[objective]
     rng = np.random.default_rng(seed)
     p = X.shape[1]
@@ -191,6 +179,5 @@ def gradient_descent_oracle(X, k: int, lam: float, objective: str,
                 break
             window_loss = loss
 
-    sigma = svd(X, k).singular_values
     return EmbeddingPair(A=A, B=B, lam=lam, rank=k, objective=objective,
                          sigma=sigma)

@@ -8,12 +8,12 @@ product-regularized solver; the dot-product user-item matrix does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroRowError
-from .matrix_core import ZERO_NORM_THRESHOLD, as_matrix, cosine_of_rows, row_norms
+from .matrix_core import as_matrix, cosine_of_rows, zero_rows
 from .mf_solvers import EmbeddingPair
 
 KIND_ITEM_ITEM = "item-item"
@@ -32,13 +32,9 @@ class SimilarityMatrix:
     excluded_cols: tuple[int, ...] = ()
 
 
-def _zero_rows(m: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(row_norms(m) < ZERO_NORM_THRESHOLD)
-
-
 def _cosine_sided(left: np.ndarray, right: np.ndarray, kind: str,
                   on_zero: str) -> SimilarityMatrix:
-    zl, zr = _zero_rows(left), _zero_rows(right)
+    zl, zr = zero_rows(left), zero_rows(right)
     if zl.size or zr.size:
         if on_zero == "raise":
             raise ZeroRowError(int((zl if zl.size else zr)[0]),

@@ -13,7 +13,7 @@ so identical configs reproduce bit-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,13 @@ class SimConfig:
         probs = np.asarray(self.cluster_probs, dtype=np.float64)
         if probs.shape != (self.C,):
             raise ConfigError("cluster_probs", f"must have length C={self.C}")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ConfigError("cluster_probs", "must be nonnegative and sum to 1")
+        if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+                or abs(probs.sum() - 1.0) > 1e-9):
+            raise ConfigError("cluster_probs",
+                              "must be finite, nonnegative and sum to 1")
+        for key in ("beta_item_min", "beta_item_max", "beta_user"):
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(key, "must be finite")
         if self.beta_item_min > self.beta_item_max:
             raise ConfigError("beta_item_min", "must be <= beta_item_max")
 
@@ -123,7 +128,9 @@ class InteractionSample:
     items_per_user: np.ndarray  # (n,) ints
 
     def __post_init__(self):
-        assert self.matrix.shape[0] == self.items_per_user.shape[0]
+        if self.matrix.shape[0] != self.items_per_user.shape[0]:
+            raise ValueError(f"{self.matrix.shape[0]} matrix rows but "
+                             f"{self.items_per_user.shape[0]} user counts")
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:

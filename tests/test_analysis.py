@@ -3,7 +3,10 @@ import pytest
 
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
                                    cluster_contrast, compare_configurations)
-from cosine_audit.similarity import SimilarityMatrix
+from cosine_audit.matrix_core import svd
+from cosine_audit.mf_solvers import EmbeddingPair
+from cosine_audit.rescale import named_scaling
+from cosine_audit.similarity import SimilarityMatrix, item_item
 from cosine_audit.synthgen import (GroundTruth, SimConfig,
                                    ground_truth_similarity,
                                    sample_ground_truth, sample_interactions)
@@ -94,6 +97,12 @@ class TestCompareConfigurations:
         assert len(report.results) == 1
         assert report.ground_truth_contrast.contrast == 1.0
 
+    @pytest.mark.parametrize("lam,rank", [(-5.0, 10), (float("nan"), 10),
+                                          (float("inf"), 10), (1.0, 0)])
+    def test_invalid_entry_rejected(self, lam, rank):
+        with pytest.raises(ValueError):
+            PlanEntry(1, lam, rank)
+
     def test_families_change_contrast(self, desk_data):
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, f)
@@ -119,14 +128,45 @@ class TestCompareConfigurations:
         clusters = gt.item_cluster[order]
         assert np.all(np.diff(clusters) >= 0)
 
-    def test_parallel_matches_serial(self, desk_data):
+    def test_one_gram_per_x(self, desk_data, monkeypatch):
         x, gt = desk_data
-        plan = [PlanEntry(1, 100.0, 10, "identity"),
-                PlanEntry(1, 100.0, 10, "collapse")]
-        serial = compare_configurations(x, gt, plan, max_workers=1)
-        parallel = compare_configurations(x, gt, plan, max_workers=2)
-        for a, b in zip(serial.results, parallel.results):
-            assert np.array_equal(a.similarity.values, b.similarity.values)
+        grams = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(g, *args, **kwargs):
+            grams.append(g.shape)
+            return real_eigh(g, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        plan = [PlanEntry(1, 1000.0, 10, f)
+                for f in ("collapse", "identity", "inverse")]
+        plan += [PlanEntry(2, 5.0, 10), PlanEntry(2, 5.0, 20)]
+        compare_configurations(x, gt, plan)
+        assert grams == [(80, 80)]
+
+    def test_contrasts_match_per_entry_svd(self, desk_data):
+        # reference: every entry solved from its own full SVD of X
+        x, gt = desk_data
+        plan = [PlanEntry(1, 1000.0, 10, f)
+                for f in ("collapse", "identity", "inverse",
+                          "symmetric-matching")]
+        plan += [PlanEntry(2, 5.0, 10), PlanEntry(2, 30.0, 20)]
+        report = compare_configurations(x, gt, plan)
+        for entry, res in zip(plan, report.results):
+            f = svd(x, entry.rank)
+            s = f.singular_values
+            if entry.objective == 1:
+                b = f.right * np.sqrt(1.0 / (1.0 + entry.lam / s**2))
+                d = named_scaling(EmbeddingPair(b, b, entry.lam, entry.rank,
+                                                "product-reg", s),
+                                  entry.family).entries
+                b = b / d
+            else:
+                b = f.right * np.sqrt(s * np.maximum(0.0, 1.0 - entry.lam / s))
+            want = cluster_contrast(item_item(x, EmbeddingPair(
+                b, b, entry.lam, entry.rank, "reference", s),
+                on_zero="drop"), gt).contrast
+            assert res.contrast.contrast == pytest.approx(want, abs=1e-12)
 
     def test_report_dict_round_trips_to_json(self, desk_data):
         import json

@@ -75,6 +75,16 @@ class TestSolveAndSimilarity:
         meta = json.loads((out / "pair_obj1" / "meta.json").read_text())
         assert meta["lambda"] == 10.0
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_lambda_exit_2(self, tmp_path, capsys, lam):
+        cfg = write_config(tmp_path, {"solve": {"objective": 1,
+                                                "lambda": 10.0, "rank": 5}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     f"--lambda={lam}"]) == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (out / "pair_obj1").exists()
+
     def test_similarity_export(self, tmp_path):
         cfg = write_config(tmp_path, {"solve": {"objective": 1,
                                                 "lambda": 10.0, "rank": 5}})
@@ -118,11 +128,72 @@ class TestAudit:
         report = json.loads((out / "report.json").read_text())
         assert "full_rank" in report
 
+    def test_full_rank_audit_shares_the_spectrum(self, tmp_path, monkeypatch):
+        grams = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(g, *args, **kwargs):
+            grams.append(g.shape)
+            return real_eigh(g, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        plan = [{"objective": 1, "lambda": 10.0, "rank": 30,
+                 "family": "identity"},
+                {"objective": 2, "lambda": 1.0, "rank": 8,
+                 "family": "identity"}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        assert main(["audit", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert grams == [(30, 30)]
+
     def test_bad_plan_family_exit_2(self, tmp_path):
         plan = [{"objective": 1, "lambda": 1.0, "rank": 4, "family": "bogus"}]
         cfg = write_config(tmp_path, {"plan": plan})
         assert main(["audit", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("lam", [-5.0, float("nan"), float("inf")])
+    def test_bad_plan_lambda_exit_2(self, tmp_path, lam):
+        plan = [{"objective": 1, "lambda": lam, "rank": 4,
+                 "family": "identity"}]
+        cfg = tmp_path / "config.json"
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        cfg.write_text(json.dumps({"sim": SIM, "plan": plan}))
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_seed_flag_refuses_stale_x(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        x_before = (out / "X.csv").read_bytes()
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "99"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "11" in err and "99" in err
+        assert (out / "X.csv").read_bytes() == x_before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 11
+
+    def test_x_without_record_refused(self, tmp_path):
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "X.sim.json").unlink()
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+
+    def test_reuses_x_from_simulate_and_records_seed(self, tmp_path):
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        x_before = (out / "X.csv").stat().st_mtime_ns
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        assert (out / "X.csv").stat().st_mtime_ns == x_before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 5
 
     def test_solver_failure_exit_3_and_cleanup(self, tmp_path):
         plan = [{"objective": 1, "lambda": 1.0, "rank": 500,

@@ -25,6 +25,41 @@ def test_matrix_csv_single_row(tmp_path):
     assert read_matrix_csv(path).shape == (1, 2)
 
 
+def per_element_csv(m):
+    """The original writer, one formatted element at a time."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in np.atleast_2d(m)).encode()
+
+
+@pytest.mark.parametrize("m", [
+    (np.random.default_rng(1).random((40, 25)) < 0.1).astype(float),
+    np.array([[0.0, 1.0, -0.0], [1.0, 1e-300, 1e17], [-2.5, 0.1, 1.0]]),
+    np.array([[0.0, -0.0], [1.0, 0.0]]),
+    np.random.default_rng(2).standard_normal((6, 9)),
+    np.zeros((3, 4)),
+], ids=["binary", "mixed", "negative_zero", "gaussian", "zeros"])
+def test_matrix_csv_bytes_match_per_element_writer(tmp_path, m):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    assert path.read_bytes() == per_element_csv(m)
+
+
+def test_matrix_csv_empty(tmp_path):
+    path = tmp_path / "e.csv"
+    write_matrix_csv(path, np.zeros((0, 0)))
+    assert path.read_bytes() == b""
+
+
+def test_pgm_bytes_match_per_element_writer(tmp_path):
+    v = np.random.default_rng(3).uniform(-1.2, 1.2, (30, 17))
+    path = tmp_path / "h.pgm"
+    write_pgm(path, v, -1.0, 1.0)
+    gray = np.clip(np.rint((v + 1.0) / 2.0 * 255.0), 0, 255).astype(int)
+    want = "P2\n17 30\n255\n" + "".join(
+        " ".join(str(x) for x in row) + "\n" for row in gray)
+    assert path.read_bytes() == want.encode()
+
+
 def test_pgm_plain_format(tmp_path):
     path = tmp_path / "h.pgm"
     write_pgm(path, np.array([[-1.0, 0.0], [0.5, 1.0]]), -1.0, 1.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cosine_audit.errors import ZeroRowError
 from cosine_audit.matrix_core import (as_matrix, cosine_of_rows,
-                                      normalize_rows, svd)
+                                      normalize_rows, spectrum, svd)
 
 
 def seeded(shape, seed=0):
@@ -85,6 +85,62 @@ class TestSvd:
         # anchor entries positive by convention
         anchors = np.abs(f1.right).argmax(axis=0)
         assert np.all(f1.right[anchors, np.arange(6)] > 0)
+
+
+class TestSpectrum:
+    def test_matches_svd(self, dense_x):
+        spec = spectrum(dense_x)
+        f = svd(dense_x, 50)
+        s = spec.singular_values
+        assert np.allclose(s, f.singular_values, rtol=1e-12, atol=0)
+        assert np.abs(spec.right - f.right).max() <= 1e-9
+
+    def test_anchor_sign_convention(self, dense_x):
+        v = spectrum(dense_x).right
+        anchors = np.abs(v).argmax(axis=0)
+        assert np.all(v[anchors, np.arange(v.shape[1])] > 0)
+
+    def test_wide_matrix_keeps_min_n_p(self):
+        m = seeded((4, 9), seed=15)
+        spec = spectrum(m)
+        assert spec.singular_values.shape == (4,)
+        assert spec.right.shape == (9, 4)
+        assert np.allclose(spec.singular_values, svd(m, 4).singular_values,
+                           rtol=1e-12, atol=0)
+
+    @staticmethod
+    def with_spectrum(s, n=30, seed=16):
+        gen = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(gen.standard_normal((n, len(s))))
+        v, _ = np.linalg.qr(gen.standard_normal((len(s), len(s))))
+        return (u * s) @ v.T
+
+    def test_sigma_above_tolerance_kept(self):
+        tol = spectrum(self.with_spectrum([1.0, 1.0, 1.0])).rank_tol
+        spec = spectrum(self.with_spectrum([1.0, 0.5, 10 * tol]))
+        assert spec.rank == 3
+        assert spec.singular_values[2] == pytest.approx(10 * tol, rel=0.05)
+
+    def test_rounding_level_sigma_zeroed(self):
+        spec = spectrum(self.with_spectrum([1.0, 0.5, 1e-9]))
+        assert spec.rank == 2
+        assert spec.singular_values[2] == 0.0
+
+    def test_rank_deficient_zero_padded_with_warning(self):
+        m = np.outer(np.arange(1.0, 6.0), np.arange(1.0, 4.0))  # rank 1
+        spec = spectrum(m)
+        assert spec.rank == 1
+        assert np.array_equal(spec.singular_values[1:], [0.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="2 of the top 3"):
+            s, v = spec.top(3)
+        assert v.shape == (3, 3)
+
+    def test_top_rank_out_of_range(self):
+        spec = spectrum(seeded((3, 3)))
+        with pytest.raises(ValueError):
+            spec.top(4)
+        with pytest.raises(ValueError):
+            spec.top(0)
 
 
 class TestNormalizeRows:

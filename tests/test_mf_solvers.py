@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cosine_audit.matrix_core import svd
+from cosine_audit.matrix_core import spectrum, svd
 from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
-                                     OBJECTIVE_SPLIT_REG,
+                                     OBJECTIVE_SPLIT_REG, EmbeddingPair,
                                      gradient_descent_oracle,
                                      objective1_gradients, objective1_loss,
                                      objective2_gradients, objective2_loss,
@@ -44,6 +44,18 @@ class TestSolveObjective1:
             solve_objective1(small_x, 0, 1.0)
         with pytest.raises(ValueError):
             solve_objective1(small_x, 3, -1.0)
+
+    @pytest.mark.parametrize("solver", [solve_objective1, solve_objective2])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, small_x, solver, lam):
+        with pytest.raises(ValueError):
+            solver(small_x, 3, lam)
+
+    def test_accepts_spectrum(self, small_x):
+        spec = spectrum(small_x)
+        for solver in (solve_objective1, solve_objective2):
+            a, b = solver(small_x, 3, 0.5), solver(spec, 3, 0.5)
+            assert np.array_equal(a.A, b.A) and np.array_equal(a.B, b.B)
 
     def test_shrinkage_monotone_in_lambda(self, small_x):
         # larger lambda -> elementwise smaller singular values of A B^T
@@ -124,6 +136,18 @@ class TestSolveObjective2:
         p2 = solve_objective2(small_x.copy(), 3, 0.7)
         assert np.array_equal(p1.A, p2.A)
         assert np.array_equal(p1.B, p2.B)
+
+
+def test_embedding_pair_rejects_bad_shapes():
+    # a real check, not an assert, so it holds under python -O too
+    with pytest.raises(ValueError):
+        EmbeddingPair(A=np.zeros((3, 2)), B=np.zeros((4, 5)), lam=1.0,
+                      rank=7, objective=OBJECTIVE_PRODUCT_REG,
+                      sigma=np.ones(7))
+    with pytest.raises(ValueError):
+        EmbeddingPair(A=np.zeros((3, 2)), B=np.zeros((3, 2)), lam=1.0,
+                      rank=7, objective=OBJECTIVE_PRODUCT_REG,
+                      sigma=np.ones(7))
 
 
 class TestLosses:

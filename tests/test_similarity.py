@@ -3,8 +3,8 @@ import pytest
 
 from cosine_audit.errors import ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows
-from cosine_audit.mf_solvers import (predicted_scores, solve_objective1,
-                                     solve_objective2)
+from cosine_audit.mf_solvers import (EmbeddingPair, predicted_scores,
+                                     solve_objective1, solve_objective2)
 from cosine_audit.rescale import apply_scaling, named_scaling, random_scaling
 from cosine_audit.similarity import (METRIC_COSINE, METRIC_DOT,
                                      SimilarityMatrix, item_item,
@@ -49,6 +49,20 @@ class TestItemItem:
         pair = solve_objective2(small_x, 3, 1e6)  # lambda >= sigma_1
         with pytest.raises(ZeroRowError):
             item_item(small_x, pair)
+
+    def test_rounding_level_row_counts_as_zero(self):
+        # an item nobody interacted with gets an embedding row of rounding
+        # size, not exactly zero; its cosines would be noise
+        b = np.random.default_rng(6).standard_normal((5, 3))
+        b[2] = [1e-32, -3e-33, 2e-33]
+        pair = EmbeddingPair(A=b, B=b, lam=1.0, rank=3,
+                             objective="product-reg", sigma=np.ones(3))
+        s = item_item(None, pair, on_zero="drop")
+        assert s.excluded_rows == (2,)
+        assert s.values.shape == (4, 4)
+        with pytest.raises(ZeroRowError) as e:
+            item_item(None, pair)
+        assert e.value.index == 2
 
     def test_zero_embedding_dropped_and_reported(self, small_x):
         pair = solve_objective2(small_x, 3, 1e6)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cosine_audit.errors import ConfigError
-from cosine_audit.synthgen import (GroundTruth, SimConfig, figure_item_order,
+from cosine_audit.synthgen import (GroundTruth, InteractionSample, SimConfig,
+                                   figure_item_order,
                                    ground_truth_similarity,
                                    sample_ground_truth, sample_interactions,
                                    user_item_probabilities)
@@ -30,6 +31,17 @@ class TestSimConfig:
     def test_beta_range(self):
         with pytest.raises(ConfigError):
             cfg(beta_item_min=2.0, beta_item_max=1.0)
+
+    def test_non_finite_cluster_probs(self):
+        # abs(nan - 1) > 1e-9 is False, so the sum check alone lets NaN in
+        with pytest.raises(ConfigError):
+            SimConfig(n=5, p=5, C=2, cluster_probs=(float("nan"), 1.0))
+
+    @pytest.mark.parametrize("key", ["beta_item_min", "beta_item_max",
+                                     "beta_user"])
+    def test_non_finite_beta(self, key):
+        with pytest.raises(ConfigError):
+            cfg(**{key: float("nan")})
 
     def test_json_round_trip(self, tmp_path):
         c = cfg()
@@ -181,3 +193,9 @@ def test_figure_item_order_cluster_then_popularity():
     pops = gt.item_popularity[order]
     for c in range(3):
         assert np.all(np.diff(pops[clusters == c]) <= 0)
+
+
+def test_interaction_sample_rejects_mismatched_counts():
+    # a real check, not an assert, so it holds under python -O too
+    with pytest.raises(ValueError):
+        InteractionSample(matrix=np.zeros((3, 4)), items_per_user=np.zeros(2))
