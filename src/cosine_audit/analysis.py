@@ -16,14 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import Spectrum, as_matrix, cosine_of_rows, spectrum
+from .errors import ZeroRowError
+from .matrix_core import Spectrum, as_matrix, normalize_rows, spectrum, zero_rows
 from .mf_solvers import (EmbeddingPair, predicted_scores, solve_objective1,
                          solve_objective2)
 from .rescale import apply_scaling, named_scaling, random_scaling
 from .similarity import (KIND_ITEM_ITEM, METRIC_COSINE, METRIC_DOT,
                          SimilarityMatrix, item_item, ranking_equal,
-                         user_item, user_user)
-from .synthgen import GroundTruth, figure_item_order, ground_truth_similarity
+                         user_item)
+from .synthgen import GroundTruth, figure_item_order
+
+# users per row block of the n x n comparison in audit_full_rank check (b)
+_USER_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,7 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
     if full_rank:
         ii = item_item(X, collapse).values
         dev_a = float(np.abs(ii - np.diag(np.diag(ii))).max())
-        uu = user_user(X, inverse).values
-        dev_b = float(np.linalg.norm(uu - cosine_of_rows(X, X)))
+        dev_b = _user_cosine_gap(X, inverse)
         checks.append(CheckResult("item_item_collapses_to_identity",
                                   dev_a, tol_identity, dev_a <= tol_identity))
         checks.append(CheckResult("user_user_inverse_matches_raw_data",
@@ -166,6 +169,26 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
                          zero_sigma_dims=zero_dims)
 
 
+def _user_cosine_gap(X: np.ndarray, pair: EmbeddingPair) -> float:
+    """Frobenius norm of user_user(X, pair) - cosine_of_rows(X, X).
+
+    Summed over blocks of users, so neither n x n matrix exists. Zero rows
+    raise as in those two functions.
+    """
+    XA = X @ pair.A
+    bad = zero_rows(XA)
+    if bad.size:
+        raise ZeroRowError(int(bad[0]), what="embedding row")
+    emb, _ = normalize_rows(XA)
+    raw, _ = normalize_rows(X)
+    total = 0.0
+    for lo in range(0, X.shape[0], _USER_BLOCK):
+        gap = (emb[lo:lo + _USER_BLOCK] @ emb.T
+               - raw[lo:lo + _USER_BLOCK] @ raw.T)
+        total += float(np.einsum("ij,ij->", gap, gap))
+    return math.sqrt(total)
+
+
 @dataclass(frozen=True)
 class PlanEntry:
     objective: int  # 1 (product-reg) or 2 (split-reg)
@@ -195,9 +218,18 @@ class PlanResult:
     contrast: ClusterContrast
     similarity: SimilarityMatrix  # items permuted to figure order
     item_order: np.ndarray
+    effective_rank: int  # nonzero columns of B after shrinkage
+
+    @property
+    def degenerate(self) -> bool:
+        """At most one dimension left: every cosine is +-1 or undefined, so
+        the contrast says nothing about the data."""
+        return self.effective_rank <= 1
 
     def to_dict(self) -> dict:
         return {"entry": self.entry.to_dict(),
+                "effective_rank": self.effective_rank,
+                "degenerate": self.degenerate,
                 "contrast": self.contrast.to_dict(),
                 "excluded_items": list(self.similarity.excluded_rows)}
 
@@ -248,12 +280,22 @@ def compare_configurations(X, gt: GroundTruth,
             values=sim.values[np.ix_(kept_order, kept_order)],
             kind=sim.kind, metric=sim.metric,
             excluded_rows=sim.excluded_rows, excluded_cols=sim.excluded_cols)
+        rank = int(np.count_nonzero(pair.B.any(axis=0)))
         return PlanResult(entry=entry, contrast=contrast,
-                          similarity=permuted, item_order=order)
+                          similarity=permuted, item_order=order,
+                          effective_rank=rank)
 
     results = tuple(run(e) for e in plan)
-    gt_sim = SimilarityMatrix(values=ground_truth_similarity(gt),
-                              kind=KIND_ITEM_ITEM, metric=METRIC_DOT)
     return AuditReport(results=results,
-                       ground_truth_contrast=cluster_contrast(gt_sim, gt),
+                       ground_truth_contrast=_ground_truth_contrast(gt),
                        spectrum=spec)
+
+
+def _ground_truth_contrast(gt: GroundTruth) -> ClusterContrast:
+    """cluster_contrast of ground_truth_similarity(gt), without its p x p
+    matrix: that matrix is 1 within clusters and 0 between, so the means
+    are exactly 1.0 and 0.0 wherever they are defined."""
+    sizes = np.bincount(gt.item_cluster)
+    return ClusterContrast(
+        within_mean=1.0 if np.any(sizes >= 2) else None,
+        between_mean=0.0 if np.count_nonzero(sizes) >= 2 else None)

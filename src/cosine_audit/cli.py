@@ -215,6 +215,12 @@ def cmd_audit(args) -> int:
     written: list[Path] = []
     try:
         report = compare_configurations(X, gt, plan)
+        for res in report.results:
+            if res.degenerate:
+                print(f"warning: degenerate plan entry {res.entry.label()}: "
+                      f"effective_rank={res.effective_rank} "
+                      f"rank={res.entry.rank}; its cosines are all +-1 and "
+                      "its contrast is not a finding", file=sys.stderr)
         p = X.shape[1]
         full_rank = None
         fr_entries = [e for e in plan if e.rank == p and e.objective == 1]

@@ -6,6 +6,7 @@ for float64 and reruns are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -17,18 +18,151 @@ from .mf_solvers import EmbeddingPair
 from .similarity import SimilarityMatrix
 
 FLOAT_FMT = "%.17g"
-# gray level -> its decimal text, for the PGM writer
-_GRAY_TEXT = [str(i) for i in range(256)]
+# Matrices are formatted this many rows at a time, so an export adds only
+# a few blocks' worth of memory to the caller's.
+_BLOCK_ROWS = 16
+# bytes per formatted CSV value: an 8-byte prefix (sign, "0.", leading
+# zeros, first digit), 16 more digits, the separator, padding
+_CELL = 32
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
+
+
+@functools.cache
+def _kernel_tables() -> dict:
+    """Lookup tables of the CSV and PGM kernels, built on first use."""
+    pow10 = np.array([float(10 ** k) for k in range(23)])  # exact to 10^22
+    big = pow10 * _SPLIT
+    pow10_hi = big - (big - pow10)
+
+    g = np.arange(10_000)
+    text = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    group = (text + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    group_tz = sum((g % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
+
+    # heads[(sign * 21 + d + 4) * 10 + first digit]: the text of a value
+    # with decimal exponent d up to its first digit, right-aligned in 8
+    # bytes of "." fill. When d >= 0, shift[d] moves the first d + 1 digits
+    # left over the fill byte before them and puts a "." after them.
+    heads = ["-" * sign + ("0." + "0" * (-d - 1) if d < 0 else ".") + str(first)
+             for sign in (0, 1) for d in range(-4, 17) for first in range(10)]
+    col = np.arange(_CELL)
+    shift = np.tile(col, (17, 1))
+    for d in range(17):
+        shift[d, 6:7 + d] = np.arange(7, 8 + d)
+        shift[d, 7 + d] = 0  # a "." fill byte
+
+    levels = [str(v) for v in range(256)]
+    return {
+        "pow10": pow10, "pow10_hi": pow10_hi, "pow10_lo": pow10 - pow10_hi,
+        "group": group, "group_tz": group_tz,
+        "prefix": np.array([h.rjust(8, ".") for h in heads],
+                           dtype="S8").view(np.uint64),
+        "start": np.array([8 - len(h) for h in heads]), "shift": shift,
+        # keep[start * _CELL + end]: which bytes of a cell hold its token
+        # and separator
+        "keep": ((col >= np.arange(8)[:, None, None])
+                 & (col <= col[:, None])).reshape(-1, _CELL).view(np.uint64),
+        # gray level -> its text and separator as 4 bytes, and which of
+        # those bytes to keep
+        "gray_sp": np.array([v + " " for v in levels], dtype="S4").view(np.uint32),
+        "gray_nl": np.array([v + "\n" for v in levels], dtype="S4").view(np.uint32),
+        "gray_keep": np.arange(4) <= np.array([len(v) for v in levels])[:, None],
+    }
+
+
+def _scaled(a: np.ndarray, d: np.ndarray, t: dict):
+    """a * 10^(16 - d) as an exact double-double (hi, lo): Dekker's product."""
+    e = 16 - d
+    p, p_hi, p_lo = (np.take(t[k], e) for k in ("pow10", "pow10_hi", "pow10_lo"))
+    hi = a * p
+    big = a * _SPLIT
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """CSV bytes of a 2-D float64 block, equal to FLOAT_FMT per value.
+
+    Values that %.17g prints in fixed notation are formatted here: their 17
+    significant digits come from rounding the exact product |x| * 10^(16-d)
+    half-even to an integer in [10^16, 10^17), as dtoa does. Every other
+    value (zero, -0, tiny, huge, non-finite) goes through FLOAT_FMT.
+    """
+    t = _kernel_tables()
+    rows, p = block.shape
+    x = block.ravel()
+    m = x.size
+    a = np.abs(x)
+    native = (a >= 1e-5) & (a < 1e17)
+    a = np.where(native, a, 1.0)
+    d = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.int64)
+    hi, lo = _scaled(a, d, t)
+    # log10 can miss the decade by one next to a power of ten
+    while True:
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        fix = np.flatnonzero(low | high)
+        if not fix.size:
+            break
+        d[fix] += high[fix].astype(np.int64) - low[fix]
+        hi[fix], lo[fix] = _scaled(a[fix], d[fix], t)
+    # hi >= 10^16 > 2^53 is an even integer, so rounding lo half-even
+    # rounds the exact hi + lo half-even. It never reaches 10^17: the
+    # largest double below 10^(d+1), for d+1 in [-4, 17], is more than 8
+    # units of the 17th digit away from it.
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    native &= d >= -4  # where %.17g prints fixed notation
+    d[~native] = 0
+    digits[~native] = 10 ** 16
+
+    top, g34 = np.divmod(digits, 10 ** 8)
+    first, g12 = np.divmod(top, 10 ** 8)
+    g1, g2 = np.divmod(g12, 10 ** 4)
+    g3, g4 = np.divmod(g34, 10 ** 4)
+    head = ((x < 0) * 21 + d + 4) * 10 + first  # index into the heads table
+    cells = np.empty((m, _CELL // 8), dtype=np.uint64)
+    cells[:, 0] = np.take(t["prefix"], head)
+    words = cells.view(np.uint32)
+    for col, grp in enumerate((g1, g2, g3, g4), start=2):
+        words[:, col] = np.take(t["group"], grp)
+    text = cells.view(np.uint8)
+    wide = np.flatnonzero(d >= 0)
+    if wide.size:
+        text[wide] = np.take_along_axis(text[wide], t["shift"][d[wide]], axis=1)
+
+    tz = t["group_tz"]
+    zeros = np.take(tz, g4)
+    more = np.flatnonzero(g4 == 0)
+    if more.size:
+        h1, h2, h3 = g1[more], g2[more], g3[more]
+        zeros[more] += tz[h3] + (h3 == 0) * (tz[h2] + (h2 == 0) * tz[h1])
+    start = np.take(t["start"], head)
+    end = np.where(zeros >= 16 - d, 7 + d, 24 - zeros)
+
+    other = np.flatnonzero(~native)
+    if other.size:
+        tokens = [FLOAT_FMT % v for v in x[other].tolist()]
+        text[other] = (np.array(tokens, dtype=f"S{_CELL}").view(np.uint8)
+                       .reshape(-1, _CELL))
+        start[other] = 0
+        end[other] = [len(s) for s in tokens]
+
+    sep = np.full((rows, p), ord(","), dtype=np.uint8)
+    sep[:, -1] = ord("\n")
+    text.reshape(-1)[np.arange(m) * _CELL + end] = sep.ravel()
+    keep = np.take(t["keep"], start * _CELL + end, axis=0).view(bool)
+    return text[keep].tobytes()
 
 
 def _binary_csv(m: np.ndarray) -> bytes | None:
-    """CSV bytes of a matrix whose entries are all +0.0 or 1.0, else None.
+    """CSV bytes of a block whose entries are all +0.0 or 1.0, else None.
 
     FLOAT_FMT prints those as "0" and "1", so each row is one digit per
     entry between commas. -0.0 prints "-0" and takes the general path.
     """
-    if m.size == 0 or not (np.all((m == 0.0) | (m == 1.0))
-                           and not np.signbit(m).any()):
+    if not (np.all((m == 0.0) | (m == 1.0)) and not np.signbit(m).any()):
         return None
     n, p = m.shape
     buf = np.full((n, 2 * p), ord(","), dtype=np.uint8)
@@ -38,16 +172,16 @@ def _binary_csv(m: np.ndarray) -> bytes | None:
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:
+    """Comma-separated rows, each value as FLOAT_FMT prints it."""
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    data = _binary_csv(m)
-    if data is not None:
-        with open(path, "wb") as f:
-            f.write(data)
-        return
-    line = ",".join([FLOAT_FMT] * m.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as f:
-        for row in m:
-            f.write(line % tuple(row.tolist()))
+    with open(path, "wb") as f:
+        if m.shape[1] == 0:
+            f.write(b"\n" * m.shape[0])
+            return
+        for i in range(0, m.shape[0], _BLOCK_ROWS):
+            block = m[i:i + _BLOCK_ROWS]
+            data = _binary_csv(block)
+            f.write(_csv_block(block) if data is None else data)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -70,13 +204,20 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
     v = np.asarray(values, dtype=np.float64)
     if hi <= lo:
         hi = lo + 1.0
-    gray = np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(int)
-    h, w = gray.shape
-    with open(path, "w", newline="\n") as f:
-        f.write(f"P2\n{w} {h}\n255\n")
-        for row in gray:
-            f.write(" ".join([_GRAY_TEXT[x] for x in row.tolist()]))
-            f.write("\n")
+    h, w = v.shape
+    t = _kernel_tables()
+    with open(path, "wb") as f:
+        f.write(f"P2\n{w} {h}\n255\n".encode())
+        if w == 0:
+            f.write(b"\n" * h)
+            return
+        for i in range(0, h, _BLOCK_ROWS):
+            gray = np.clip(np.rint((v[i:i + _BLOCK_ROWS] - lo) / (hi - lo) * 255.0),
+                           0, 255).astype(np.intp)
+            cells = t["gray_sp"][gray]
+            cells[:, -1] = t["gray_nl"][gray[:, -1]]
+            f.write(cells.view(np.uint8).reshape(*gray.shape, 4)[t["gray_keep"][gray]]
+                    .tobytes())
 
 
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,

@@ -21,6 +21,8 @@ from .errors import ConfigError
 
 MIN_ITEMS_PER_USER = 5
 DIRICHLET_CONCENTRATION = 0.5
+# users per block of sample_interactions' weight and Gumbel-key arrays
+_USER_BLOCK = 1_000
 
 _STREAMS = ("clusters", "exponents", "popularities", "prefs", "activity", "picks")
 
@@ -190,17 +192,21 @@ def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTru
     # Weighted sampling without replacement via Gumbel top-k: adding i.i.d.
     # Gumbel noise to log-weights and keeping the k largest keys draws k
     # distinct items with the sequential-renormalization probabilities.
-    weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
+    # Users go in blocks so no n x p temporary exists; a (B, p) Gumbel draw
+    # is the same stream as B draws of size p.
     picks_rng = rng["picks"]
     matrix = np.zeros((config.n, config.p), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    for u in range(config.n):
-        keys = log_w[u] + picks_rng.gumbel(size=config.p)
-        k = min(int(k_u[u]), int(np.count_nonzero(weights[u] > 0)))
-        k_u[u] = k
-        chosen = np.argpartition(keys, -k)[-k:]
-        matrix[u, chosen] = 1.0
+    for lo in range(0, config.n, _USER_BLOCK):
+        weights = (gt.user_prefs[lo:lo + _USER_BLOCK, gt.item_cluster]
+                   * gt.item_popularity)
+        with np.errstate(divide="ignore"):
+            keys = np.log(weights)
+        keys += picks_rng.gumbel(size=weights.shape)
+        k_b = np.minimum(k_u[lo:lo + _USER_BLOCK],
+                         np.count_nonzero(weights > 0, axis=1))
+        k_u[lo:lo + _USER_BLOCK] = k_b
+        for u, k in enumerate(k_b.tolist(), start=lo):
+            matrix[u, np.argpartition(keys[u - lo], -k)[-k:]] = 1.0
     return InteractionSample(matrix=matrix, items_per_user=k_u), gt
 
 

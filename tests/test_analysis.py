@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import cosine_audit.analysis as analysis
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
-                                   cluster_contrast, compare_configurations)
-from cosine_audit.matrix_core import svd
-from cosine_audit.mf_solvers import EmbeddingPair
-from cosine_audit.rescale import named_scaling
-from cosine_audit.similarity import SimilarityMatrix, item_item
+                                   cluster_contrast, compare_configurations,
+                                   _ground_truth_contrast)
+from cosine_audit.errors import ZeroRowError
+from cosine_audit.matrix_core import cosine_of_rows, svd
+from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
+from cosine_audit.rescale import apply_scaling, named_scaling
+from cosine_audit.similarity import SimilarityMatrix, item_item, user_user
 from cosine_audit.synthgen import (GroundTruth, SimConfig,
                                    ground_truth_similarity,
                                    sample_ground_truth, sample_interactions)
@@ -58,6 +61,16 @@ class TestClusterContrast:
         permuted = cluster_contrast(item_sim(v[np.ix_(perm, perm)]), gt_p)
         assert permuted.contrast == pytest.approx(base.contrast, abs=1e-12)
 
+    @pytest.mark.parametrize("clusters", [[0, 0, 1, 2, 2], [0, 1, 2], [0, 0, 0],
+                                          [3], [1, 1, 4, 4, 4, 0]])
+    def test_ground_truth_contrast_without_matrix(self, clusters):
+        gt = GroundTruth(item_cluster=np.array(clusters),
+                         item_popularity=np.ones(len(clusters)),
+                         cluster_exponents=np.ones(max(clusters) + 1),
+                         user_prefs=np.ones((2, max(clusters) + 1)))
+        dense = cluster_contrast(item_sim(ground_truth_similarity(gt)), gt)
+        assert _ground_truth_contrast(gt) == dense
+
     def test_wrong_kind_rejected(self, desk_data):
         _, gt = desk_data
         s = SimilarityMatrix(values=np.eye(3), kind="user-user",
@@ -88,6 +101,38 @@ class TestAuditFullRank:
         skipped = [c for c in audit.checks if c.skipped]
         assert len(skipped) == 3
         assert audit.all_passed  # remaining checks pass
+
+    @pytest.mark.parametrize("family", ["inverse", "identity"])
+    def test_blocked_user_gap_matches_dense(self, desk_data, monkeypatch,
+                                            family):
+        # 600 users in blocks of 64: nine full blocks and a partial one
+        monkeypatch.setattr(analysis, "_USER_BLOCK", 64)
+        x, _ = desk_data
+        pair = solve_objective1(x, x.shape[1], 100.0)
+        pair = apply_scaling(pair, named_scaling(pair, family))
+        dense = np.linalg.norm(user_user(x, pair).values - cosine_of_rows(x, x))
+        blocked = analysis._user_cosine_gap(x, pair)
+        assert blocked == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_full_rank_check_b_uses_blocked_gap(self, desk_data, monkeypatch):
+        monkeypatch.setattr(analysis, "_USER_BLOCK", 64)
+        x, _ = desk_data
+        audit = audit_full_rank(x, 100.0)
+        pair = solve_objective1(x, x.shape[1], 100.0)
+        inverse = apply_scaling(pair, named_scaling(pair, "inverse"))
+        dense = np.linalg.norm(user_user(x, inverse).values
+                               - cosine_of_rows(x, x))
+        dev = {c.name: c.deviation for c in audit.checks}
+        assert dev["user_user_inverse_matches_raw_data"] == pytest.approx(
+            dense, abs=1e-12)
+        assert dev["user_user_inverse_matches_raw_data"] <= 1e-6
+
+    def test_zero_user_row_raises(self, dense_x):
+        x = dense_x.copy()
+        x[3] = 0.0
+        pair = solve_objective1(x, x.shape[1], 1.0)
+        with pytest.raises(ZeroRowError):
+            analysis._user_cosine_gap(x, pair)
 
 
 class TestCompareConfigurations:
@@ -167,6 +212,23 @@ class TestCompareConfigurations:
                 b, b, entry.lam, entry.rank, "reference", s),
                 on_zero="drop"), gt).contrast
             assert res.contrast.contrast == pytest.approx(want, abs=1e-12)
+
+    def test_degenerate_entry_flagged(self):
+        # sigma = (10, 2, 1): objective 2 with lambda = 5 keeps one dimension
+        gen = np.random.default_rng(8)
+        u, _ = np.linalg.qr(gen.standard_normal((30, 3)))
+        v, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+        x = (u * [10.0, 2.0, 1.0]) @ v.T
+        gt = GroundTruth(item_cluster=np.array([0, 0, 1]),
+                         item_popularity=np.ones(3),
+                         cluster_exponents=np.ones(2),
+                         user_prefs=np.full((30, 2), 0.5))
+        report = compare_configurations(x, gt, [PlanEntry(2, 5.0, 3),
+                                                PlanEntry(1, 5.0, 3)])
+        shrunk, full = report.to_dict()["results"]
+        assert (shrunk["effective_rank"], shrunk["degenerate"]) == (1, True)
+        assert (full["effective_rank"], full["degenerate"]) == (3, False)
+        assert "effective_rank" not in shrunk["entry"]
 
     def test_report_dict_round_trips_to_json(self, desk_data):
         import json

@@ -5,6 +5,8 @@ import pytest
 
 from cosine_audit.cli import main
 from cosine_audit.io_utils import read_matrix_csv
+from cosine_audit.matrix_core import spectrum
+from cosine_audit.synthgen import SimConfig, sample_interactions
 
 SIM = {"n": 120, "p": 30, "C": 3, "cluster_probs": [0.4, 0.3, 0.3],
        "beta_item_min": 0.25, "beta_item_max": 1.5, "beta_user": 0.5,
@@ -118,6 +120,24 @@ class TestAudit:
                      f"_k{entry['rank']}_{entry['family']}")
             assert (out / f"similarity_{label}.csv").exists()
             assert (out / f"similarity_{label}.pgm").exists()
+
+    def test_degenerate_entry_warned_and_reported(self, tmp_path, capsys):
+        sample, _ = sample_interactions(SimConfig.from_dict(SIM))
+        s = spectrum(sample.matrix).singular_values
+        lam = float(s[0] + s[1]) / 2  # keeps only the top dimension
+        plan = [{"objective": 2, "lambda": lam, "rank": 8},
+                {"objective": 2, "lambda": 0.0, "rank": 8}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        flags = [(r["effective_rank"], r["degenerate"])
+                 for r in report["results"]]
+        assert flags == [(1, True), (8, False)]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning: degenerate plan entry")]
+        assert len(warnings) == 1
+        assert "effective_rank=1 rank=8" in warnings[0]
 
     def test_full_rank_section_when_k_equals_p(self, tmp_path):
         plan = [{"objective": 1, "lambda": 10.0, "rank": 30,

@@ -1,6 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cosine_audit.cli import main
 from cosine_audit.io_utils import (config_hash, read_embedding_pair,
                                    read_matrix_csv, write_embedding_pair,
                                    write_matrix_csv, write_pgm,
@@ -31,6 +37,75 @@ def per_element_csv(m):
                    for row in np.atleast_2d(m)).encode()
 
 
+def per_element_pgm(v, lo, hi):
+    """The original heatmap writer, one gray level at a time."""
+    if hi <= lo:
+        hi = lo + 1.0
+    gray = np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(int)
+    h, w = gray.shape
+    return (f"P2\n{w} {h}\n255\n" + "".join(
+        " ".join(str(x) for x in row) + "\n" for row in gray)).encode()
+
+
+def csv_bytes(tmp_path, m):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, m)
+    return path.read_bytes()
+
+
+SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, SHAPES,
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_bytes_match_reference_on_any_finite_floats(tmp_path_factory, m):
+    assert csv_bytes(tmp_path_factory.mktemp("h"), m) == per_element_csv(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.uint64, SHAPES, elements=st.integers(0, 2**64 - 1)))
+def test_csv_bytes_match_reference_on_any_bit_pattern(tmp_path_factory, bits):
+    m = bits.view(np.float64)
+    m = np.where(np.isfinite(m), m, 0.0)
+    assert csv_bytes(tmp_path_factory.mktemp("h"), m) == per_element_csv(m)
+
+
+def _edge_values():
+    powers = [10.0 ** k for k in range(-6, 18)]
+    near = [np.nextafter(v, t) for v in powers for t in (0.0, np.inf)]
+    edges = [0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0),
+             np.nextafter(1e-4, 1.0), 9.9999999999999995e-5,
+             0.99999999999999989, 1.0000000000000002, 1e16 - 2, 1e16,
+             # exact decimal ties at the 18th significant digit: half-even
+             # keeps an even 17th digit and rounds an odd one up
+             0.100002288818359375, 0.100009918212890625,
+             1125899906842624.25, 1125899906842624.75]
+    return np.array(edges + powers + near)
+
+
+def test_csv_edge_values_match_reference(tmp_path):
+    for x in _edge_values():
+        m = np.array([[x, 0.5], [-x, x]])
+        assert csv_bytes(tmp_path, m) == per_element_csv(m), repr(float(x))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (15, 7), (16, 7), (17, 7),
+                                   (33, 7), (40, 1)])
+def test_csv_block_boundaries(tmp_path, shape):
+    m = np.random.default_rng(4).uniform(-1.0, 1.0, shape)
+    m.ravel()[::5] = 0.0  # values the kernel hands to FLOAT_FMT
+    assert csv_bytes(tmp_path, m) == per_element_csv(m)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (37, 5), (16, 3)])
+def test_pgm_blocks_match_reference(tmp_path, shape):
+    v = np.random.default_rng(6).uniform(-1.5, 1.5, shape)
+    path = tmp_path / "h.pgm"
+    write_pgm(path, v, -1.0, 1.0)
+    assert path.read_bytes() == per_element_pgm(v, -1.0, 1.0)
+
+
 @pytest.mark.parametrize("m", [
     (np.random.default_rng(1).random((40, 25)) < 0.1).astype(float),
     np.array([[0.0, 1.0, -0.0], [1.0, 1e-300, 1e17], [-2.5, 0.1, 1.0]]),
@@ -54,10 +129,7 @@ def test_pgm_bytes_match_per_element_writer(tmp_path):
     v = np.random.default_rng(3).uniform(-1.2, 1.2, (30, 17))
     path = tmp_path / "h.pgm"
     write_pgm(path, v, -1.0, 1.0)
-    gray = np.clip(np.rint((v + 1.0) / 2.0 * 255.0), 0, 255).astype(int)
-    want = "P2\n17 30\n255\n" + "".join(
-        " ".join(str(x) for x in row) + "\n" for row in gray)
-    assert path.read_bytes() == want.encode()
+    assert path.read_bytes() == per_element_pgm(v, -1.0, 1.0)
 
 
 def test_pgm_plain_format(tmp_path):
@@ -89,7 +161,6 @@ def test_similarity_export_with_sidecar(tmp_path, rng):
     write_similarity(tmp_path, "s", sim, provenance={"lambda": 1.0})
     assert (tmp_path / "s.csv").exists()
     assert (tmp_path / "s.pgm").exists()
-    import json
     sidecar = json.loads((tmp_path / "s.json").read_text())
     assert sidecar["kind"] == "item-item"
     assert sidecar["heatmap_range"] == [-1.0, 1.0]
@@ -99,3 +170,26 @@ def test_similarity_export_with_sidecar(tmp_path, rng):
 def test_config_hash_stable_and_order_free():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+def test_audit_exports_match_reference_writers(tmp_path):
+    sim = {"n": 600, "p": 80, "C": 5, "cluster_probs": [0.2] * 5,
+           "beta_item_min": 0.25, "beta_item_max": 1.5, "beta_user": 0.5,
+           "seed": 7}
+    plan = [{"objective": 1, "lambda": 100.0, "rank": 10, "family": f}
+            for f in ("collapse", "identity", "inverse")]
+    plan.append({"objective": 2, "lambda": 1.0, "rank": 10})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": sim, "plan": plan}))
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+    csvs = sorted(out.glob("similarity_*.csv"))
+    assert len(csvs) == 4
+    for path in csvs + [out / "X.csv"]:
+        values = read_matrix_csv(path)
+        assert path.read_bytes() == per_element_csv(values), path.name
+    for path in csvs:
+        lo, hi = json.loads(path.with_suffix(".json").read_text())["heatmap_range"]
+        values = read_matrix_csv(path)
+        assert (path.with_suffix(".pgm").read_bytes()
+                == per_element_pgm(values, lo, hi)), path.name

@@ -3,6 +3,7 @@ import pytest
 
 from cosine_audit.errors import ConfigError
 from cosine_audit.synthgen import (GroundTruth, InteractionSample, SimConfig,
+                                   _items_per_user, _streams,
                                    figure_item_order,
                                    ground_truth_similarity,
                                    sample_ground_truth, sample_interactions,
@@ -147,6 +148,21 @@ class TestInteractions:
         assert np.array_equal(g1.user_prefs, g2.user_prefs)
         s3, _ = sample_interactions(cfg(seed=100))
         assert not np.array_equal(s1.matrix, s3.matrix)
+
+    def test_blocked_draws_match_per_user_loop(self):
+        # 2 500 users: two full user blocks and a partial one
+        c = SimConfig.uniform_clusters(2_500, 60, 4, seed=7)
+        sample, gt = sample_interactions(c)
+        rng = _streams(c.seed)
+        k_u = _items_per_user(c, rng["activity"])
+        weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
+        want = np.zeros((c.n, c.p))
+        for u in range(c.n):
+            keys = np.log(weights[u]) + rng["picks"].gumbel(size=c.p)
+            k_u[u] = min(int(k_u[u]), int(np.count_nonzero(weights[u] > 0)))
+            want[u, np.argpartition(keys, -k_u[u])[-k_u[u]:]] = 1.0
+        assert np.array_equal(sample.matrix, want)
+        assert np.array_equal(sample.items_per_user, k_u)
 
     def test_popularity_monotone_in_expectation(self):
         # more popular items collect more interactions: Spearman correlation
