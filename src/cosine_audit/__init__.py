@@ -5,7 +5,7 @@ audits on simulated clustered data, and remedies."""
 __version__ = "0.1.0"
 
 from .errors import ConfigError, ZeroRowError, ZeroVarianceError
-from .matrix_core import (Spectrum, SvdFactors, cosine_of_rows,
+from .matrix_core import (BinaryRows, Spectrum, SvdFactors, cosine_of_rows,
                           normalize_rows, spectrum, svd)
 from .mf_solvers import (EmbeddingPair, gradient_descent_oracle,
                          objective1_loss, objective2_loss, predicted_scores,

@@ -12,7 +12,8 @@ solve every entry from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,7 +217,9 @@ class PlanEntry:
 class PlanResult:
     entry: PlanEntry
     contrast: ClusterContrast
-    similarity: SimilarityMatrix  # items permuted to figure order
+    # items permuted to figure order; None once handed to an export
+    similarity: SimilarityMatrix | None
+    excluded_items: tuple[int, ...]
     item_order: np.ndarray
     effective_rank: int  # nonzero columns of B after shrinkage
 
@@ -231,7 +234,7 @@ class PlanResult:
                 "effective_rank": self.effective_rank,
                 "degenerate": self.degenerate,
                 "contrast": self.contrast.to_dict(),
-                "excluded_items": list(self.similarity.excluded_rows)}
+                "excluded_items": list(self.excluded_items)}
 
 
 @dataclass(frozen=True)
@@ -254,39 +257,48 @@ def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
     return pair
 
 
-def compare_configurations(X, gt: GroundTruth,
-                           plan: list[PlanEntry]) -> AuditReport:
+def run_plan_entry(spec: Spectrum, gt: GroundTruth,
+                   entry: PlanEntry) -> PlanResult:
+    """One entry's item-item cosine matrix and its cluster contrast.
+
+    The matrix is permuted so items appear by cluster, then by descending
+    popularity within each cluster.
+    """
+    pair = solve_plan_entry(spec, entry)
+    sim = item_item(None, pair, METRIC_COSINE, on_zero="drop")
+    contrast = cluster_contrast(sim, gt)
+    order = figure_item_order(gt)
+    keep = np.setdiff1d(np.arange(gt.item_cluster.shape[0]),
+                        np.asarray(sim.excluded_rows, dtype=np.int64))
+    pos = {int(i): j for j, i in enumerate(keep)}
+    kept_order = np.array([pos[int(i)] for i in order if int(i) in pos],
+                          dtype=np.int64)
+    permuted = replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
+    return PlanResult(entry=entry, contrast=contrast, similarity=permuted,
+                      excluded_items=permuted.excluded_rows, item_order=order,
+                      effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
+
+
+def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
+                           export: Callable[[PlanResult], None] | None = None
+                           ) -> AuditReport:
     """One item-item cosine matrix and cluster contrast per plan entry.
 
-    The spectrum of X is taken once and shared by every entry; the report
-    keeps it. Exported similarity matrices are permuted so items appear by
-    cluster, then by descending popularity within each cluster.
+    X is a dense matrix or `BinaryRows`. Its spectrum is taken once and
+    shared by every entry; the report keeps it. `export`, when given, gets
+    each result right after its contrast, and the report keeps that result
+    without its matrix, so at most one entry's p x p matrices are alive at
+    a time.
     """
-    X = as_matrix(X)
     spec = spectrum(X)
-    order = figure_item_order(gt)
-
-    def run(entry: PlanEntry) -> PlanResult:
-        pair = solve_plan_entry(spec, entry)
-        sim = item_item(X, pair, METRIC_COSINE, on_zero="drop")
-        contrast = cluster_contrast(sim, gt)
-        # permute kept items into figure order for export
-        keep = np.setdiff1d(np.arange(gt.item_cluster.shape[0]),
-                            np.asarray(sim.excluded_rows, dtype=np.int64))
-        pos = {int(i): j for j, i in enumerate(keep)}
-        kept_order = np.array([pos[int(i)] for i in order if int(i) in pos],
-                              dtype=np.int64)
-        permuted = SimilarityMatrix(
-            values=sim.values[np.ix_(kept_order, kept_order)],
-            kind=sim.kind, metric=sim.metric,
-            excluded_rows=sim.excluded_rows, excluded_cols=sim.excluded_cols)
-        rank = int(np.count_nonzero(pair.B.any(axis=0)))
-        return PlanResult(entry=entry, contrast=contrast,
-                          similarity=permuted, item_order=order,
-                          effective_rank=rank)
-
-    results = tuple(run(e) for e in plan)
-    return AuditReport(results=results,
+    results = []
+    for entry in plan:
+        res = run_plan_entry(spec, gt, entry)
+        if export is not None:
+            export(res)
+            res = replace(res, similarity=None)
+        results.append(res)
+    return AuditReport(results=tuple(results),
                        ground_truth_contrast=_ground_truth_contrast(gt),
                        spectrum=spec)
 

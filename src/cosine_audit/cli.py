@@ -52,6 +52,10 @@ DEFAULT_PLAN = [
 # config X was drawn from. X.csv is reused only when this record matches.
 SIM_RECORD = "X.sim.json"
 
+# `similarity --kind user-user` refuses larger n: its n x n float64 matrix
+# would take 8 n^2 bytes, 200 MB at this n and 3.2 GB at the default n
+USER_USER_MAX_USERS = 5_000
+
 
 def _load_config(path) -> dict:
     if path is None:
@@ -123,15 +127,16 @@ def _out_dir(cfg: dict, args) -> Path:
 
 def _simulate(out: Path, sim_cfg: SimConfig):
     sample, gt = sample_interactions(sim_cfg)
-    write_matrix_csv(out / "X.csv", sample.matrix)
+    write_matrix_csv(out / "X.csv", sample.rows)
     write_json(out / "ground_truth.json", gt.to_dict())
     write_json(out / SIM_RECORD, sim_cfg.to_dict())
-    return sample.matrix, gt
+    return sample.rows, gt
 
 
 def _load_or_simulate(out: Path, cfg: dict, args):
-    """(X, ground truth, sim config): reused from `out` when its simulation
-    record matches the resolved sim config, simulated when absent."""
+    """(X as `BinaryRows`, ground truth, sim config): reused from `out` when
+    its simulation record matches the resolved sim config, simulated when
+    absent."""
     sim_cfg = _sim_config(cfg, args)
     x_path = out / "X.csv"
     gt_path = out / "ground_truth.json"
@@ -148,7 +153,8 @@ def _load_or_simulate(out: Path, cfg: dict, args):
     if diff:
         raise ConfigError("sim", f"{x_path} was not simulated from this config "
                                  f"({diff}); use another --out or rerun simulate")
-    return read_matrix_csv(x_path), GroundTruth.from_dict(read_json(gt_path)), sim_cfg
+    return (read_matrix_csv(x_path, binary=True),
+            GroundTruth.from_dict(read_json(gt_path)), sim_cfg)
 
 
 def cmd_simulate(args) -> int:
@@ -174,7 +180,7 @@ def cmd_solve(args) -> int:
     solve = _solve_settings(cfg, args)
     out = _out_dir(cfg, args)
     X, _, sim_cfg = _load_or_simulate(out, cfg, args)
-    X, pair = _solve(X, solve)
+    X, pair = _solve(X.dense(), solve)
     pair_dir = out / f"pair_obj{solve['objective']}"
     write_embedding_pair(pair_dir, pair)
     write_manifest(out, {"sim": sim_cfg.to_dict(), "solve": solve},
@@ -186,9 +192,14 @@ def cmd_solve(args) -> int:
 def cmd_similarity(args) -> int:
     cfg = _load_config(args.config)
     solve = _solve_settings(cfg, args)
+    if args.kind == "user-user":
+        n = _sim_config(cfg, args).n
+        if n > USER_USER_MAX_USERS:
+            raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
+                                      f"{n} > {USER_USER_MAX_USERS}")
     out = _out_dir(cfg, args)
     X, _, _ = _load_or_simulate(out, cfg, args)
-    X, pair = _solve(X, solve)
+    X, pair = _solve(X.dense(), solve)
     family = args.family or "identity"
     if family not in FAMILIES:
         raise ConfigError("family", f"must be one of {', '.join(FAMILIES)}")
@@ -213,25 +224,26 @@ def cmd_audit(args) -> int:
     X, gt, sim_cfg = _load_or_simulate(out, cfg, args)
 
     written: list[Path] = []
+
+    def export(res) -> None:
+        if res.degenerate:
+            print(f"warning: degenerate plan entry {res.entry.label()}: "
+                  f"effective_rank={res.effective_rank} "
+                  f"rank={res.entry.rank}; its cosines are all +-1 and "
+                  "its contrast is not a finding", file=sys.stderr)
+        name = f"similarity_{res.entry.label()}"
+        written.extend(out / f"{name}.{ext}" for ext in ("csv", "json", "pgm"))
+        write_similarity(out, name, res.similarity,
+                         provenance=res.entry.to_dict())
+
     try:
-        report = compare_configurations(X, gt, plan)
-        for res in report.results:
-            if res.degenerate:
-                print(f"warning: degenerate plan entry {res.entry.label()}: "
-                      f"effective_rank={res.effective_rank} "
-                      f"rank={res.entry.rank}; its cosines are all +-1 and "
-                      "its contrast is not a finding", file=sys.stderr)
+        report = compare_configurations(X, gt, plan, export=export)
         p = X.shape[1]
         full_rank = None
         fr_entries = [e for e in plan if e.rank == p and e.objective == 1]
         if fr_entries:
-            full_rank = audit_full_rank(X, fr_entries[0].lam,
+            full_rank = audit_full_rank(X.dense(), fr_entries[0].lam,
                                         spec=report.spectrum)
-        for res in report.results:
-            name = f"similarity_{res.entry.label()}"
-            write_similarity(out, name, res.similarity,
-                             provenance=res.entry.to_dict())
-            written += [out / f"{name}.{ext}" for ext in ("csv", "json", "pgm")]
         doc = report.to_dict()
         if full_rank is not None:
             doc["full_rank"] = full_rank.to_dict()
@@ -256,7 +268,7 @@ def cmd_fullrank_check(args) -> int:
     n, p = X.shape
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    audit = audit_full_rank(X, solve["lambda"])
+    audit = audit_full_rank(X.dense(), solve["lambda"])
     write_json(out / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))

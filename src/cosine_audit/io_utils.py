@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix_core import as_matrix
+from .errors import ConfigError
+from .matrix_core import BinaryRows, as_matrix
 from .mf_solvers import EmbeddingPair
 from .similarity import SimilarityMatrix
 
@@ -21,6 +22,8 @@ FLOAT_FMT = "%.17g"
 # Matrices are formatted this many rows at a time, so an export adds only
 # a few blocks' worth of memory to the caller's.
 _BLOCK_ROWS = 16
+# rows per block when writing or reading a 0/1 matrix as text
+_BINARY_BLOCK_ROWS = 256
 # bytes per formatted CSV value: an 8-byte prefix (sign, "0.", leading
 # zeros, first digit), 16 more digits, the separator, padding
 _CELL = 32
@@ -164,15 +167,29 @@ def _binary_csv(m: np.ndarray) -> bytes | None:
     """
     if not (np.all((m == 0.0) | (m == 1.0)) and not np.signbit(m).any()):
         return None
-    n, p = m.shape
+    return _ones_csv(m == 1.0)
+
+
+def _ones_csv(ones: np.ndarray) -> bytes:
+    """CSV bytes of the 0/1 block whose ones are the True entries of `ones`."""
+    n, p = ones.shape
     buf = np.full((n, 2 * p), ord(","), dtype=np.uint8)
-    buf[:, 0::2] = (m == 1.0).view(np.uint8) + np.uint8(ord("0"))
+    buf[:, 0::2] = ones.view(np.uint8) + np.uint8(ord("0"))
     buf[:, -1] = ord("\n")
     return buf.tobytes()
 
 
-def write_matrix_csv(path, m: np.ndarray) -> None:
-    """Comma-separated rows, each value as FLOAT_FMT prints it."""
+def write_matrix_csv(path, m) -> None:
+    """Comma-separated rows, each value as FLOAT_FMT prints it.
+
+    m is a dense matrix or `BinaryRows`, written a block of dense rows at a
+    time.
+    """
+    if isinstance(m, BinaryRows):
+        with open(path, "wb") as f:
+            for i in range(0, m.shape[0], _BINARY_BLOCK_ROWS):
+                f.write(_ones_csv(m.dense(i, i + _BINARY_BLOCK_ROWS, dtype=bool)))
+        return
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     with open(path, "wb") as f:
         if m.shape[1] == 0:
@@ -184,8 +201,40 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
             f.write(_csv_block(block) if data is None else data)
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
+def read_matrix_csv(path, binary: bool = False):
+    """The matrix in a CSV file; with binary=True, a 0/1 matrix as
+    `BinaryRows`, from a file laid out exactly as `write_matrix_csv` writes
+    one: each row one "0" or "1" per column between commas, then "\\n".
+    Any other layout raises ConfigError."""
+    if not binary:
+        return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
+    with open(path, "rb") as f:
+        width = len(f.readline())  # 2 bytes per column
+        if width < 2 or width % 2:
+            raise ConfigError(str(path), "not a 0/1 CSV matrix: empty, or its "
+                                         "first row is not 0s and 1s between "
+                                         "commas")
+        f.seek(0)
+        ones, lengths = [], []
+        while data := f.read(width * _BINARY_BLOCK_ROWS):
+            if len(data) % width:
+                raise ConfigError(str(path), "not a 0/1 CSV matrix: its rows "
+                                             "differ in length")
+            block = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+            digits = block[:, 0::2]
+            if not (np.all(block[:, 1:-1:2] == ord(","))
+                    and np.all(block[:, -1] == ord("\n"))
+                    and np.all((digits == ord("0")) | (digits == ord("1")))):
+                raise ConfigError(str(path), "not a 0/1 CSV matrix: each row "
+                                             'must be "0" or "1" per column '
+                                             'between commas, then "\\n"')
+            rows, cols = np.nonzero(digits == ord("1"))
+            ones.append(cols)
+            lengths.append(np.bincount(rows, minlength=block.shape[0]))
+    lengths = np.concatenate(lengths)
+    return BinaryRows(indptr=np.concatenate(([0], np.cumsum(lengths))),
+                      indices=np.concatenate(ones),
+                      shape=(lengths.shape[0], width // 2))
 
 
 def write_json(path, obj) -> None:

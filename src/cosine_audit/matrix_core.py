@@ -1,10 +1,11 @@
-"""Dense matrix primitives: the spectrum of X, truncated SVD, row
-normalization, cosine of rows.
+"""Matrix primitives: binary rows held as CSR, the spectrum of X, truncated
+SVD, row normalization, cosine of rows.
 
-All matrices are plain float64 numpy arrays. Tolerance conventions used
-throughout the package: 1e-12 for exact algebraic identities on small
-matrices, 1e-8 for orthonormality, 1e-6 for identities that flow through a
-full SVD at desk scale.
+Matrices are plain float64 numpy arrays, except a 0/1 interaction matrix,
+which `BinaryRows` holds as the column indices of its ones. Tolerance
+conventions used throughout the package: 1e-12 for exact algebraic
+identities on small matrices, 1e-8 for orthonormality, 1e-6 for identities
+that flow through a full SVD at desk scale.
 """
 
 from __future__ import annotations
@@ -24,6 +25,69 @@ ZERO_NORM_RELATIVE = 1e-12
 # largest are rounding noise: forming the Gram squares the condition number,
 # so a true zero singular value comes back near sqrt(max(n, p) * eps) * sigma_1.
 GRAM_RANK_FACTOR = 10.0
+# (column, column) pairs counted per chunk of BinaryRows.gram, which keeps
+# its index temporaries to about 10 MB
+GRAM_PAIRS_PER_CHUNK = 1 << 18
+
+
+@dataclass(frozen=True)
+class BinaryRows:
+    """An n x p matrix of 0s and 1s as CSR without values: the ones of row
+    i sit in columns ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    indptr: np.ndarray   # (n + 1,) int64, from 0 to nnz
+    indices: np.ndarray  # (nnz,) int64 column indices
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        n, p = self.shape
+        ptr = np.asarray(self.indptr, dtype=np.int64)
+        idx = np.asarray(self.indices, dtype=np.int64)
+        object.__setattr__(self, "indptr", ptr)
+        object.__setattr__(self, "indices", idx)
+        if n < 1 or p < 1:
+            raise ValueError(f"expected a 2-D matrix, got shape {self.shape}")
+        if (ptr.shape != (n + 1,) or ptr[0] != 0 or ptr[-1] != idx.shape[0]
+                or np.any(np.diff(ptr) < 0)):
+            raise ValueError(f"indptr does not delimit {n} rows of "
+                             f"{idx.shape[0]} indices")
+        if idx.size and (idx.min() < 0 or idx.max() >= p):
+            raise ValueError(f"column index out of range [0, {p})")
+
+    def dense(self, lo: int = 0, hi: int | None = None,
+              dtype=np.float64) -> np.ndarray:
+        """Rows lo:hi as a dense array of 0s and 1s."""
+        lo, hi, _ = slice(lo, hi).indices(self.shape[0])
+        hi = max(hi, lo)
+        out = np.zeros((hi - lo, self.shape[1]), dtype=dtype)
+        lengths = np.diff(self.indptr[lo:hi + 1])
+        out[np.repeat(np.arange(hi - lo), lengths),
+            self.indices[self.indptr[lo]:self.indptr[hi]]] = 1
+        return out
+
+    def gram(self) -> np.ndarray:
+        """X^T X as float64: entry (i, j) counts the rows holding both i and j.
+
+        Each one pairs with every one of its row; the pairs are counted a
+        chunk at a time. Integer counts make it bit-identical to the dense
+        product, whose partial sums are all exact integers too.
+        """
+        p, nnz = self.shape[1], self.indices.shape[0]
+        lengths = np.diff(self.indptr)
+        per_one = np.repeat(lengths, lengths)  # pairs of each one of X
+        row_start = np.repeat(self.indptr[:-1], lengths)
+        first = np.cumsum(per_one) - per_one  # index of each one's first pair
+        # chunks of ones whose first pairs fall in one budget-sized range
+        bounds = np.unique(np.append(np.searchsorted(
+            first, np.arange(0, per_one.sum(), GRAM_PAIRS_PER_CHUNK)), nnz))
+        counts = np.zeros(p * p, dtype=np.int64)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            k = per_one[a:b]
+            within = np.arange(k.sum()) - np.repeat(first[a:b] - first[a], k)
+            pairs = np.repeat(self.indices[a:b] * p, k)
+            pairs += self.indices[np.repeat(row_start[a:b], k) + within]
+            counts += np.bincount(pairs, minlength=p * p)
+        return counts.reshape(p, p).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -96,15 +160,20 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return signs
 
 
-def spectrum(m: np.ndarray) -> Spectrum:
+def spectrum(m) -> Spectrum:
     """Spectrum of m from the eigendecomposition of the p x p Gram m^T m.
 
     Costs one Gram and one p x p eigh instead of an n x p SVD, and never
-    forms the n x p left factor.
+    forms the n x p left factor. m is a dense matrix or `BinaryRows`, whose
+    Gram is formed from its indices without the dense n x p matrix.
     """
-    m = as_matrix(m)
+    if isinstance(m, BinaryRows):
+        gram = m.gram()
+    else:
+        m = as_matrix(m)
+        gram = m.T @ m
     n, p = m.shape
-    w, v = np.linalg.eigh(m.T @ m)
+    w, v = np.linalg.eigh(gram)
     r = min(n, p)
     w, v = w[::-1][:r], v[:, ::-1][:, :r]
     cut = max(w[0], 0.0) * max(n, p) * np.finfo(np.float64).eps * GRAM_RANK_FACTOR

@@ -142,10 +142,10 @@ def gradient_descent_oracle(X, k: int, lam: float, objective: str,
                             seed: int = 0, rel_tol: float = 1e-13) -> EmbeddingPair:
     """Independent full-batch gradient-descent check of either closed form.
 
-    Intended for small instances only (n, p <= 50). The step is halved
-    whenever a candidate update would increase the loss; iteration stops
-    early once the relative loss improvement over a 100-step window falls
-    below rel_tol.
+    Intended for small instances only (n, p <= 50). The step grows by half
+    after each accepted update and is halved whenever a candidate update
+    would increase the loss; iteration stops early once the relative loss
+    improvement over a 100-step window falls below rel_tol.
     """
     if objective not in _LOSSES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -174,6 +174,7 @@ def gradient_descent_oracle(X, k: int, lam: float, objective: str,
                 cand_A, cand_B, cand_loss = A, B, loss
                 break
         A, B, loss = cand_A, cand_B, cand_loss
+        step *= 1.5
         if it % 100 == 99:
             if window_loss - loss <= rel_tol * max(1.0, abs(loss)):
                 break

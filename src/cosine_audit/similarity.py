@@ -82,14 +82,16 @@ def user_item(X, pair: EmbeddingPair, metric: str = METRIC_COSINE,
 def _tie_groups(row: np.ndarray, tol: float) -> list[frozenset]:
     """Ordered partition of column indices into descending tie groups.
 
-    Consecutive sorted values closer than tol are merged into one group.
+    Consecutive sorted values closer than tol * max|row| are merged into one
+    group, so rows that differ by a positive factor get the same partition.
     """
     order = np.argsort(-row, kind="stable")
     vals = row[order]
+    gap = tol * (float(np.abs(row).max()) if row.size else 0.0)
     groups: list[frozenset] = []
     start = 0
     for i in range(1, len(order)):
-        if vals[i - 1] - vals[i] > tol:
+        if vals[i - 1] - vals[i] > gap:
             groups.append(frozenset(order[start:i].tolist()))
             start = i
     groups.append(frozenset(order[start:].tolist()))
@@ -100,8 +102,8 @@ def ranking_equal(s1: SimilarityMatrix, s2: SimilarityMatrix,
                   tol: float = 1e-9) -> np.ndarray:
     """Per-row flags: does row u of s1 rank the columns the same as row u of s2?
 
-    Entries within tol of each other count as tied; tied groups must match
-    as sets.
+    Entries within tol times the largest magnitude of their row count as
+    tied; tied groups must match as sets.
     """
     a, b = s1.values, s2.values
     if a.shape != b.shape:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .matrix_core import BinaryRows
 
 MIN_ITEMS_PER_USER = 5
 DIRICHLET_CONCENTRATION = 0.5
@@ -126,13 +127,21 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class InteractionSample:
-    matrix: np.ndarray          # (n, p) binary 0/1
-    items_per_user: np.ndarray  # (n,) ints
+    rows: BinaryRows            # (n, p) binary interactions
+    items_per_user: np.ndarray  # (n,) ints: the ones in each row
 
     def __post_init__(self):
-        if self.matrix.shape[0] != self.items_per_user.shape[0]:
-            raise ValueError(f"{self.matrix.shape[0]} matrix rows but "
+        n = self.rows.shape[0]
+        if self.items_per_user.shape != (n,):
+            raise ValueError(f"{n} matrix rows but "
                              f"{self.items_per_user.shape[0]} user counts")
+        if np.any(np.diff(self.rows.indptr) != self.items_per_user):
+            raise ValueError("user counts differ from the ones in their rows")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n, p) 0/1 float64 matrix."""
+        return self.rows.dense()
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:
@@ -193,21 +202,39 @@ def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTru
     # Gumbel noise to log-weights and keeping the k largest keys draws k
     # distinct items with the sequential-renormalization probabilities.
     # Users go in blocks so no n x p temporary exists; a (B, p) Gumbel draw
-    # is the same stream as B draws of size p.
+    # is the same stream as B draws of size p. Each block takes the top k of
+    # all its users with the same k in one argpartition.
     picks_rng = rng["picks"]
-    matrix = np.zeros((config.n, config.p), dtype=np.float64)
+    # reused by every block: a fresh array of this size would be
+    # page-faulted in anew each time
+    keys_buf = np.empty((min(config.n, _USER_BLOCK), config.p))
+    group_buf = np.empty_like(keys_buf)
+    indptr = np.zeros(config.n + 1, dtype=np.int64)
+    blocks = []
     for lo in range(0, config.n, _USER_BLOCK):
-        weights = (gt.user_prefs[lo:lo + _USER_BLOCK, gt.item_cluster]
-                   * gt.item_popularity)
-        with np.errstate(divide="ignore"):
-            keys = np.log(weights)
-        keys += picks_rng.gumbel(size=weights.shape)
+        prefs = gt.user_prefs[lo:lo + _USER_BLOCK]
+        keys = np.take(prefs, gt.item_cluster, axis=1,
+                       out=keys_buf[:prefs.shape[0]])
+        keys *= gt.item_popularity
         k_b = np.minimum(k_u[lo:lo + _USER_BLOCK],
-                         np.count_nonzero(weights > 0, axis=1))
+                         np.count_nonzero(keys > 0, axis=1))
         k_u[lo:lo + _USER_BLOCK] = k_b
-        for u, k in enumerate(k_b.tolist(), start=lo):
-            matrix[u, np.argpartition(keys[u - lo], -k)[-k:]] = 1.0
-    return InteractionSample(matrix=matrix, items_per_user=k_u), gt
+        with np.errstate(divide="ignore"):
+            np.log(keys, out=keys)
+        keys += picks_rng.gumbel(size=keys.shape)
+        starts = np.concatenate(([0], np.cumsum(k_b)))
+        picks = np.empty(starts[-1], dtype=np.int64)
+        for k in np.unique(k_b[k_b > 0]).tolist():
+            users = np.flatnonzero(k_b == k)
+            group = np.take(keys, users, axis=0, out=group_buf[:users.size])
+            top = np.argpartition(group, -k, axis=1)[:, -k:]
+            top.sort(axis=1)
+            picks[starts[users][:, None] + np.arange(k)] = top
+        blocks.append(picks)
+    np.cumsum(k_u, out=indptr[1:])
+    rows = BinaryRows(indptr=indptr, indices=np.concatenate(blocks),
+                      shape=(config.n, config.p))
+    return InteractionSample(rows=rows, items_per_user=k_u), gt
 
 
 def ground_truth_similarity(gt: GroundTruth) -> np.ndarray:

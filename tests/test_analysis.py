@@ -230,6 +230,30 @@ class TestCompareConfigurations:
         assert (full["effective_rank"], full["degenerate"]) == (3, False)
         assert "effective_rank" not in shrunk["entry"]
 
+    def test_export_gets_each_result_and_report_drops_its_matrix(self, desk_data):
+        x, gt = desk_data
+        plan = [PlanEntry(1, 1000.0, 10, f) for f in ("collapse", "inverse")]
+        plan.append(PlanEntry(2, 5.0, 10))
+        kept = compare_configurations(x, gt, plan)
+        exported = []
+        streamed = compare_configurations(x, gt, plan, export=exported.append)
+        assert [r.entry for r in exported] == plan
+        for want, got, res in zip(kept.results, exported, streamed.results):
+            assert np.array_equal(got.similarity.values, want.similarity.values)
+            assert res.similarity is None
+            assert res.to_dict() == want.to_dict()
+
+    def test_binary_rows_give_the_dense_report(self, desk_data):
+        x, gt = desk_data
+        cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)  # desk_data's
+        sample, _ = sample_interactions(cfg)
+        plan = [PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(2, 5.0, 10)]
+        dense = compare_configurations(x, gt, plan)
+        rows = compare_configurations(sample.rows, gt, plan)
+        assert rows.to_dict() == dense.to_dict()
+        for a, b in zip(rows.results, dense.results):
+            assert np.array_equal(a.similarity.values, b.similarity.values)
+
     def test_report_dict_round_trips_to_json(self, desk_data):
         import json
         x, gt = desk_data

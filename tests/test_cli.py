@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cosine_audit.cli import main
+from cosine_audit import cli
+from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.io_utils import read_matrix_csv
 from cosine_audit.matrix_core import spectrum
 from cosine_audit.synthgen import SimConfig, sample_interactions
@@ -98,6 +100,30 @@ class TestSolveAndSimilarity:
         assert v.shape == (30, 30)
         sidecar = json.loads((out / f"{name}.json").read_text())
         assert sidecar["provenance"]["family"] == "collapse"
+
+
+    def test_user_user_export(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                     "--kind", "user-user", "--rank", "5"]) == 0
+        v = read_matrix_csv(out / "similarity_user-user_cosine_obj1_identity.csv")
+        assert v.shape == (120, 120)
+
+    def test_user_user_size_guard_exits_2_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran past the size guard")
+
+        for name in ("sample_interactions", "read_matrix_csv", "user_user"):
+            monkeypatch.setattr(cli, name, forbidden)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": dict(SIM, n=USER_USER_MAX_USERS + 1)}))
+        out = tmp_path / "out"
+        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                     "--kind", "user-user"]) == 2
+        assert "user-user" in capsys.readouterr().err
+        assert not (out / "X.csv").exists()
 
 
 class TestAudit:
@@ -225,6 +251,18 @@ class TestAudit:
         assert not list(out.glob("similarity_*"))
 
 
+    def test_failure_after_an_export_removes_it(self, tmp_path):
+        plan = [{"objective": 1, "lambda": 1.0, "rank": 4,
+                 "family": "identity"},
+                {"objective": 1, "lambda": 1.0, "rank": 500,
+                 "family": "identity"}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        assert not list(out.glob("similarity_*"))
+
+
 class TestFullrankCheck:
     def test_passes_on_simulated_data(self, tmp_path):
         cfg = write_config(tmp_path, {"solve": {"objective": 1,
@@ -247,3 +285,23 @@ class TestFullrankCheck:
         cfg.write_text(json.dumps({"sim": wide}))
         assert main(["fullrank-check", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_and_audit_hold_no_dense_x(tmp_path):
+    # one dense n x p float64 X would be 25.6 MB at this size
+    n, p = 8_000, 400
+    sim = dict(SIM, n=n, p=p, C=5, cluster_probs=[0.2] * 5)
+    plan = [{"objective": 1, "lambda": 1000.0, "rank": 50, "family": f}
+            for f in ("collapse", "identity", "inverse")]
+    plan.append({"objective": 2, "lambda": 10.0, "rank": 50})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"sim": sim, "plan": plan}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p * 8, f"peak {peak / 1e6:.1f} MB"

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosine_audit.errors import ZeroRowError
-from cosine_audit.matrix_core import (as_matrix, cosine_of_rows,
+from cosine_audit import matrix_core
+from cosine_audit.matrix_core import (BinaryRows, as_matrix, cosine_of_rows,
                                       normalize_rows, spectrum, svd)
+from cosine_audit.synthgen import SimConfig, sample_interactions
 
 
 def seeded(shape, seed=0):
@@ -213,3 +215,66 @@ def test_as_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 2, 2)))
     assert as_matrix([1.0, 2.0]).shape == (1, 2)
+
+
+def binary_rows(dense) -> BinaryRows:
+    dense = np.asarray(dense)
+    rows, cols = np.nonzero(dense)
+    lengths = np.bincount(rows, minlength=dense.shape[0])
+    return BinaryRows(indptr=np.concatenate(([0], np.cumsum(lengths))),
+                      indices=cols, shape=dense.shape)
+
+
+class TestBinaryRows:
+    @pytest.fixture(scope="class")
+    def simulated(self):
+        sample, _ = sample_interactions(
+            SimConfig.uniform_clusters(700, 90, 4, seed=3))
+        return sample.rows
+
+    def test_gram_is_exact_on_simulated_x(self, simulated, monkeypatch):
+        x = simulated.dense()
+        want = x.T @ x
+        assert np.array_equal(simulated.gram(), want)
+        # many small chunks, some ending inside a row
+        monkeypatch.setattr(matrix_core, "GRAM_PAIRS_PER_CHUNK", 97)
+        assert np.array_equal(simulated.gram(), want)
+
+    @pytest.mark.parametrize("dense", [
+        [[0, 0, 0], [1, 0, 1], [0, 0, 0]],  # all-zero rows
+        [[1, 1, 1, 1], [0, 1, 0, 0]],       # a full row
+        [[1], [0], [1], [1]],               # p = 1
+        [[0, 0], [0, 0]],                   # no ones at all
+    ])
+    def test_gram_is_exact_on_edge_rows(self, dense, monkeypatch):
+        x = np.asarray(dense, dtype=np.float64)
+        rows = binary_rows(x)
+        assert np.array_equal(rows.gram(), x.T @ x)
+        monkeypatch.setattr(matrix_core, "GRAM_PAIRS_PER_CHUNK", 1)
+        assert np.array_equal(rows.gram(), x.T @ x)
+
+    def test_dense_row_ranges(self, simulated):
+        x = simulated.dense()
+        assert x.dtype == np.float64 and set(np.unique(x)) <= {0.0, 1.0}
+        for lo, hi in ((0, 1), (5, 77), (650, 10_000), (700, 700)):
+            assert np.array_equal(simulated.dense(lo, hi), x[lo:hi])
+        assert np.array_equal(simulated.dense(5, 77, dtype=bool), x[5:77] == 1)
+
+    def test_spectrum_is_bit_identical_to_dense(self, simulated):
+        a, b = spectrum(simulated), spectrum(simulated.dense())
+        assert np.array_equal(a.singular_values, b.singular_values)
+        assert np.array_equal(a.right, b.right)
+        assert a.rank_tol == b.rank_tol
+
+    @pytest.mark.parametrize("indptr, indices, shape", [
+        ([0, 1], [0], (2, 3)),        # indptr too short
+        ([0, 2, 1], [0, 1], (2, 3)),  # decreasing
+        ([0, 1, 3], [0, 1], (2, 3)),  # does not end at nnz
+        ([0, 1, 2], [0, 3], (2, 3)),  # column out of range
+        ([0, 1, 2], [0, -1], (2, 3)),
+        ([0], [], (0, 3)),
+    ])
+    def test_rejects_inconsistent_layout(self, indptr, indices, shape):
+        with pytest.raises(ValueError):
+            BinaryRows(indptr=np.array(indptr), indices=np.array(indices),
+                       shape=shape)

@@ -174,6 +174,19 @@ class TestRankingEqual:
         b = self._sim([[1.0 + 1e-12, 1.0, 0.0]])
         assert ranking_equal(a, b).all()
 
+    def test_tie_tolerance_scales_with_the_row(self):
+        # row b is row a times 4: a's gap of 5e-10 is a tie under tol 1e-9,
+        # and b's gap of 2e-9 lies between the absolute tol (1e-9) and the
+        # relative one (4e-9), so an absolute rule splits it
+        a = self._sim([[1.0, 1.0 - 5e-10, 0.0]])
+        b = self._sim([[4.0, 4.0 - 2e-9, 0.0]])
+        assert ranking_equal(a, b).all()
+
+    def test_gap_above_relative_tolerance_is_not_a_tie(self):
+        a = self._sim([[4.0, 4.0 - 5e-9, 0.0]])
+        b = self._sim([[4.0 - 5e-9, 4.0, 0.0]])
+        assert not ranking_equal(a, b).any()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ranking_equal(self._sim(np.ones((2, 2))),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cosine_audit.errors import ConfigError
+from cosine_audit.matrix_core import BinaryRows
 from cosine_audit.synthgen import (GroundTruth, InteractionSample, SimConfig,
                                    _items_per_user, _streams,
                                    figure_item_order,
@@ -163,6 +164,9 @@ class TestInteractions:
             want[u, np.argpartition(keys, -k_u[u])[-k_u[u]:]] = 1.0
         assert np.array_equal(sample.matrix, want)
         assert np.array_equal(sample.items_per_user, k_u)
+        ptr, idx = sample.rows.indptr, sample.rows.indices
+        assert all(np.all(np.diff(idx[a:b]) > 0)  # ascending in each row
+                   for a, b in zip(ptr[:-1], ptr[1:]))
 
     def test_popularity_monotone_in_expectation(self):
         # more popular items collect more interactions: Spearman correlation
@@ -213,5 +217,12 @@ def test_figure_item_order_cluster_then_popularity():
 
 def test_interaction_sample_rejects_mismatched_counts():
     # a real check, not an assert, so it holds under python -O too
+    rows = BinaryRows(indptr=np.array([0, 1, 3, 3]),
+                      indices=np.array([2, 0, 3]), shape=(3, 4))
     with pytest.raises(ValueError):
-        InteractionSample(matrix=np.zeros((3, 4)), items_per_user=np.zeros(2))
+        InteractionSample(rows=rows, items_per_user=np.zeros(2))
+    with pytest.raises(ValueError):
+        InteractionSample(rows=rows, items_per_user=np.array([1, 1, 1]))
+    sample = InteractionSample(rows=rows, items_per_user=np.array([1, 2, 0]))
+    assert np.array_equal(sample.matrix, [[0, 0, 1, 0], [1, 0, 0, 1],
+                                          [0, 0, 0, 0]])
