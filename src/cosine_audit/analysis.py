@@ -21,7 +21,7 @@ from .errors import ZeroRowError
 from .matrix_core import Spectrum, as_matrix, normalize_rows, spectrum, zero_rows
 from .mf_solvers import (EmbeddingPair, predicted_scores, solve_objective1,
                          solve_objective2)
-from .rescale import apply_scaling, named_scaling, random_scaling
+from .rescale import FAMILIES, apply_scaling, named_scaling, random_scaling
 from .similarity import (KIND_ITEM_ITEM, METRIC_COSINE, METRIC_DOT,
                          SimilarityMatrix, item_item, ranking_equal,
                          user_item)
@@ -29,6 +29,9 @@ from .synthgen import GroundTruth, figure_item_order
 
 # users per row block of the n x n comparison in audit_full_rank check (b)
 _USER_BLOCK = 512
+# audit_full_rank tolerances of checks (a)-(b) and of check (d)
+TOL_IDENTITY = 1e-6
+TOL_SCORES = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,7 @@ class FullRankAudit:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
-                    tol_scores: float = 1e-8,
+def audit_full_rank(X, lam: float,
                     spec: Spectrum | None = None) -> FullRankAudit:
     """Verify the full-rank identities of the product-regularized solver.
 
@@ -139,9 +141,9 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
         dev_a = float(np.abs(ii - np.diag(np.diag(ii))).max())
         dev_b = _user_cosine_gap(X, inverse)
         checks.append(CheckResult("item_item_collapses_to_identity",
-                                  dev_a, tol_identity, dev_a <= tol_identity))
+                                  dev_a, TOL_IDENTITY, dev_a <= TOL_IDENTITY))
         checks.append(CheckResult("user_user_inverse_matches_raw_data",
-                                  dev_b, tol_identity, dev_b <= tol_identity))
+                                  dev_b, TOL_IDENTITY, dev_b <= TOL_IDENTITY))
         cos_ui = user_item(X, collapse, METRIC_COSINE)
         dot_ui = user_item(X, collapse, METRIC_DOT)
         frac = float(ranking_equal(cos_ui, dot_ui).mean())
@@ -153,7 +155,7 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
         for name in ("item_item_collapses_to_identity",
                      "user_user_inverse_matches_raw_data",
                      "cosine_dot_ranking_agreement"):
-            checks.append(CheckResult(name, None, tol_identity,
+            checks.append(CheckResult(name, None, TOL_IDENTITY,
                                       passed=False, skipped=True))
 
     base = predicted_scores(X, pair)
@@ -164,7 +166,7 @@ def audit_full_rank(X, lam: float, tol_identity: float = 1e-6,
         dev_d = max(dev_d, float(np.linalg.norm(predicted_scores(X, scaled) - base)
                                  / base_norm))
     checks.append(CheckResult("predicted_scores_rescaling_invariance",
-                              dev_d, tol_scores, dev_d <= tol_scores))
+                              dev_d, TOL_SCORES, dev_d <= TOL_SCORES))
 
     return FullRankAudit(checks=tuple(checks), lam=lam, rank=k,
                          zero_sigma_dims=zero_dims)
@@ -204,6 +206,9 @@ class PlanEntry:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {', '.join(FAMILIES)}, "
+                             f"got {self.family!r}")
 
     def label(self) -> str:
         return f"obj{self.objective}_lam{self.lam:g}_k{self.rank}_{self.family}"

@@ -11,23 +11,23 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (AuditReport, PlanEntry, audit_full_rank,
-                       compare_configurations)
+from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
+                       solve_plan_entry)
 from .errors import ConfigError
 from .io_utils import (read_json, read_matrix_csv, write_embedding_pair,
-                       write_json, write_manifest, write_matrix_csv,
+                       write_json, write_manifest, write_matrix_csv, write_pgm,
                        write_similarity)
-from .mf_solvers import solve_objective1, solve_objective2
-from .rescale import FAMILIES, apply_scaling, named_scaling
+from .remedies import standardize
+from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
-from .synthgen import GroundTruth, SimConfig, sample_interactions
+from .synthgen import (GroundTruth, SimConfig, figure_item_order,
+                       sample_interactions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,6 +47,9 @@ DEFAULT_PLAN = [
     {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "inverse"},
     {"objective": 2, "lambda": 100.0, "rank": 50, "family": "identity"},
 ]
+
+# the solve section, read by solve, similarity and fullrank-check
+DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": 50}
 
 # Written next to X.csv by the step that simulated it: the resolved sim
 # config X was drawn from. X.csv is reused only when this record matches.
@@ -79,43 +82,57 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     return SimConfig.from_dict(sim)
 
 
-def _solve_settings(cfg: dict, args) -> dict:
-    solve = {"objective": 1, "lambda": 10_000.0, "rank": 50,
-             "standardize": False}
-    solve.update(cfg.get("solve", {}))
-    if args.objective is not None:
-        solve["objective"] = args.objective
-    if getattr(args, "lam", None) is not None:
-        solve["lambda"] = args.lam
-    if args.rank is not None:
-        solve["rank"] = args.rank
-    if solve["objective"] not in (1, 2):
-        raise ConfigError("objective", "must be 1 or 2")
-    lam, rank = solve["lambda"], solve["rank"]
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ConfigError("lambda", f"must be finite and >= 0, got {lam}")
-    if not (isinstance(rank, int) and rank >= 1):
-        raise ConfigError("rank", f"must be an integer >= 1, got {rank}")
-    return solve
+# the JSON type of each key a plan entry or the solve section may hold
+_ENTRY_TYPES = {"objective": (int, "an integer"), "rank": (int, "an integer"),
+                "lambda": ((int, float), "a number"), "family": (str, "a string"),
+                "standardize": (bool, "true or false")}
 
 
-def _plan(cfg: dict, args) -> list[PlanEntry]:
+def _entry(raw, where: str, extra: str, defaults: dict | None = None,
+           flags: dict | None = None) -> PlanEntry:
+    """The PlanEntry that the JSON object `raw` at `where` describes, over
+    `defaults` and under `flags` (typed by argparse).
+
+    raw may hold "objective", "lambda", "rank" and `extra` ("family" in a
+    plan entry, "standardize" in the solve section). Any other key, another
+    JSON type (true and 8.0 are not integers) or a value PlanEntry refuses
+    is a ConfigError naming the key.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(where, "must be a JSON object")
+    for key, value in raw.items():
+        if key not in ("objective", "lambda", "rank", extra):
+            raise ConfigError(f"{where}.{key}", "unknown key; expected "
+                                                f"objective, lambda, rank or {extra}")
+        types, name = _ENTRY_TYPES[key]
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise ConfigError(f"{where}.{key}", f"must be {name}, got {value!r}")
+    fields = {**(defaults or {}), **raw, **(flags or {})}
+    try:
+        return PlanEntry(objective=fields["objective"],
+                         lam=float(fields["lambda"]), rank=fields["rank"],
+                         family=fields.get("family", "identity"))
+    except KeyError as e:
+        raise ConfigError(f"{where}.{e.args[0]}", "missing key")
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(where, str(e))
+
+
+def _plan(cfg: dict) -> list[PlanEntry]:
     raw = cfg.get("plan", DEFAULT_PLAN)
-    entries = []
-    for i, e in enumerate(raw):
-        try:
-            entries.append(PlanEntry(objective=int(e["objective"]),
-                                     lam=float(e["lambda"]),
-                                     rank=int(e["rank"]),
-                                     family=e.get("family", "identity")))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"plan[{i}]", str(err))
-        if entries[-1].family not in FAMILIES:
-            raise ConfigError(f"plan[{i}].family",
-                              f"must be one of {', '.join(FAMILIES)}")
-    if not entries:
-        raise ConfigError("plan", "must contain at least one entry")
-    return entries
+    if not (isinstance(raw, list) and raw):
+        raise ConfigError("plan", "must be a non-empty list of entries")
+    return [_entry(e, f"plan[{i}]", "family") for i, e in enumerate(raw)]
+
+
+def _solve_entry(cfg: dict, args) -> tuple[PlanEntry, bool]:
+    """The solve section, with the subcommand's flags over it, as a
+    one-entry plan, and whether X is standardized before the solve."""
+    section = cfg.get("solve", {})
+    flags = {k: v for k, v in vars(args).items()
+             if k in ("objective", "lambda", "rank", "family") and v is not None}
+    entry = _entry(section, "solve", "standardize", DEFAULT_SOLVE, flags)
+    return entry, section.get("standardize", False)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -167,22 +184,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _solve(X, solve: dict):
-    solver = solve_objective1 if solve["objective"] == 1 else solve_objective2
-    if solve.get("standardize"):
-        from .remedies import standardize
-        X, _, _ = standardize(X)
-    return X, solver(X, solve["rank"], solve["lambda"])
+def _training_x(X, standardize_x: bool) -> np.ndarray:
+    """The dense X an entry is solved on, standardized when asked."""
+    X = X.dense()
+    return standardize(X)[0] if standardize_x else X
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    solve = _solve_settings(cfg, args)
+    entry, standardize_x = _solve_entry(cfg, args)
     out = _out_dir(cfg, args)
     X, _, sim_cfg = _load_or_simulate(out, cfg, args)
-    X, pair = _solve(X.dense(), solve)
-    pair_dir = out / f"pair_obj{solve['objective']}"
+    pair = solve_plan_entry(_training_x(X, standardize_x), entry)
+    pair_dir = out / f"pair_obj{entry.objective}"
     write_embedding_pair(pair_dir, pair)
+    solve = {"objective": entry.objective, "lambda": entry.lam,
+             "rank": entry.rank, "standardize": standardize_x}
     write_manifest(out, {"sim": sim_cfg.to_dict(), "solve": solve},
                    sim_cfg.seed, __version__)
     print(f"wrote embedding pair to {pair_dir}")
@@ -191,7 +208,7 @@ def cmd_solve(args) -> int:
 
 def cmd_similarity(args) -> int:
     cfg = _load_config(args.config)
-    solve = _solve_settings(cfg, args)
+    entry, standardize_x = _solve_entry(cfg, args)
     if args.kind == "user-user":
         n = _sim_config(cfg, args).n
         if n > USER_USER_MAX_USERS:
@@ -199,27 +216,20 @@ def cmd_similarity(args) -> int:
                                       f"{n} > {USER_USER_MAX_USERS}")
     out = _out_dir(cfg, args)
     X, _, _ = _load_or_simulate(out, cfg, args)
-    X, pair = _solve(X.dense(), solve)
-    family = args.family or "identity"
-    if family not in FAMILIES:
-        raise ConfigError("family", f"must be one of {', '.join(FAMILIES)}")
-    if family != "identity":
-        pair = apply_scaling(pair, named_scaling(pair, family))
-    metric = args.metric or "cosine"
+    X = _training_x(X, standardize_x)
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
-    sim = kind_fn(X, pair, metric, on_zero="drop")
-    name = f"similarity_{args.kind}_{metric}_obj{solve['objective']}_{family}"
-    provenance = {"objective": solve["objective"], "lambda": solve["lambda"],
-                  "rank": solve["rank"], "family": family}
-    write_similarity(out, name, sim, provenance)
+    sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
+    name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
+            f"_{entry.family}")
+    write_similarity(out, name, sim, entry.to_dict())
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     cfg = _load_config(args.config)
-    plan = _plan(cfg, args)
+    plan = _plan(cfg)
     out = _out_dir(cfg, args)
     X, gt, sim_cfg = _load_or_simulate(out, cfg, args)
 
@@ -238,6 +248,11 @@ def cmd_audit(args) -> int:
 
     try:
         report = compare_configurations(X, gt, plan, export=export)
+        # the ground truth in figure order: 1 where two items share a cluster
+        cluster = gt.item_cluster[figure_item_order(gt)]
+        written.append(out / "ground_truth.pgm")
+        write_pgm(out / "ground_truth.pgm",
+                  cluster[:, None] == cluster[None, :], 0.0, 1.0)
         p = X.shape[1]
         full_rank = None
         fr_entries = [e for e in plan if e.rank == p and e.objective == 1]
@@ -262,13 +277,16 @@ def cmd_audit(args) -> int:
 
 def cmd_fullrank_check(args) -> int:
     cfg = _load_config(args.config)
-    solve = _solve_settings(cfg, args)
+    entry, _ = _solve_entry(cfg, args)
+    if entry.objective != 1:
+        raise ConfigError("solve.objective", "the full-rank identities hold "
+                                             "for objective 1 only")
     out = _out_dir(cfg, args)
     X, _, _ = _load_or_simulate(out, cfg, args)
     n, p = X.shape
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    audit = audit_full_rank(X.dense(), solve["lambda"])
+    audit = audit_full_rank(X.dense(), entry.lam)
     write_json(out / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))
@@ -289,39 +307,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--lambda", dest="lam", type=float, metavar="REAL")
-        p.add_argument("--rank", type=int, metavar="INT")
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--objective", type=int, choices=(1, 2))
-        p.add_argument("--metric", choices=("cosine", "dot"))
-
-    p = sub.add_parser("simulate", help="generate X.csv and ground_truth.json")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("solve", help="fit an embedding pair and export it")
-    common(p)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("similarity", help="export one similarity matrix")
-    common(p)
-    p.add_argument("--kind", choices=("item-item", "user-user", "user-item"),
-                   default="item-item")
-    p.set_defaults(fn=cmd_similarity)
-
-    p = sub.add_parser("audit", help="run the configured plan and export "
-                                     "contrasts plus heatmaps")
-    common(p)
-    p.set_defaults(fn=cmd_audit)
-
-    p = sub.add_parser("fullrank-check", help="verify the exact full-rank "
-                                              "identities")
-    common(p)
-    p.set_defaults(fn=cmd_fullrank_check)
+    flags = {
+        "--config": {"metavar": "PATH", "help": "JSON config file"},
+        "--out": {"metavar": "DIR", "help": "output directory"},
+        "--seed": {"type": int, "metavar": "U64"},
+        "--lambda": {"dest": "lambda", "type": float, "metavar": "REAL"},
+        "--rank": {"type": int, "metavar": "INT"},
+        "--objective": {"type": int, "choices": (1, 2)},
+        "--family": {"choices": FAMILIES, "default": "identity"},
+        "--metric": {"choices": ("cosine", "dot"), "default": "cosine"},
+        "--kind": {"choices": ("item-item", "user-user", "user-item"),
+                   "default": "item-item"},
+    }
+    common = ("--config", "--out", "--seed")
+    solve = common + ("--lambda", "--rank", "--objective")
+    for name, fn, own, about in (
+            ("simulate", cmd_simulate, common,
+             "generate X.csv and ground_truth.json"),
+            ("solve", cmd_solve, solve, "fit an embedding pair and export it"),
+            ("similarity", cmd_similarity,
+             solve + ("--family", "--metric", "--kind"),
+             "export one similarity matrix"),
+            ("audit", cmd_audit, common,
+             "run the configured plan and export contrasts plus heatmaps"),
+            ("fullrank-check", cmd_fullrank_check, common + ("--lambda",),
+             "verify the exact full-rank identities")):
+        p = sub.add_parser(name, help=about)
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -249,8 +249,11 @@ def read_json(path):
 
 
 def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
-    """Plain (P2) PGM: values mapped linearly from [lo, hi] to gray 0..255."""
-    v = np.asarray(values, dtype=np.float64)
+    """Plain (P2) PGM: values mapped linearly from [lo, hi] to gray 0..255.
+
+    values may have any real dtype and memory layout: each block of rows is
+    taken as C-ordered float64, so no float64 copy of the whole is made."""
+    v = np.asarray(values)
     if hi <= lo:
         hi = lo + 1.0
     h, w = v.shape
@@ -261,7 +264,8 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
             f.write(b"\n" * h)
             return
         for i in range(0, h, _BLOCK_ROWS):
-            gray = np.clip(np.rint((v[i:i + _BLOCK_ROWS] - lo) / (hi - lo) * 255.0),
+            block = np.ascontiguousarray(v[i:i + _BLOCK_ROWS], dtype=np.float64)
+            gray = np.clip(np.rint((block - lo) / (hi - lo) * 255.0),
                            0, 255).astype(np.intp)
             cells = t["gray_sp"][gray]
             cells[:, -1] = t["gray_nl"][gray[:, -1]]
@@ -270,8 +274,8 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
 
 
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
-                     provenance: dict, heatmap: bool = True) -> None:
-    """Similarity CSV + sidecar JSON (+ optional PGM heatmap)."""
+                     provenance: dict) -> None:
+    """Similarity CSV + sidecar JSON + PGM heatmap."""
     out_dir = Path(out_dir)
     write_matrix_csv(out_dir / f"{name}.csv", sim.values)
     if sim.metric == "cosine":
@@ -287,8 +291,7 @@ def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
         "provenance": provenance,
     }
     write_json(out_dir / f"{name}.json", sidecar)
-    if heatmap:
-        write_pgm(out_dir / f"{name}.pgm", sim.values, lo, hi)
+    write_pgm(out_dir / f"{name}.pgm", sim.values, lo, hi)
 
 
 def write_embedding_pair(out_dir, pair: EmbeddingPair) -> None:

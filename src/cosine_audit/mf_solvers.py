@@ -1,12 +1,12 @@
 """Closed-form solvers for the two regularized factorization objectives.
 
-Objective 1 ("product-reg") penalizes the product of the factors:
+Objective 1 (product-reg) penalizes the product of the factors:
     ||X - X A B^T||_F^2 + lambda * ||A B^T||_F^2
 Its minimizer is A = B = V_k diag((1 + lambda/sigma_i^2)^(-1/2)) and is only
 determined up to an arbitrary diagonal rescaling of the latent dimensions
 (see the rescale module).
 
-Objective 2 ("split-reg") penalizes the user and item factors separately:
+Objective 2 (split-reg) penalizes the user and item factors separately:
     ||X - X A B^T||_F^2 + lambda * (||X A||_F^2 + ||B||_F^2)
 Its minimizer is unique up to rotation:
     A = V_k diag(sqrt((1/sigma_i) * max(0, 1 - lambda/sigma_i)))
@@ -19,14 +19,14 @@ verification of both closed forms on small instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix_core import Spectrum, as_matrix, spectrum
 
-OBJECTIVE_PRODUCT_REG = "product-reg"
-OBJECTIVE_SPLIT_REG = "split-reg"
+OBJECTIVE_PRODUCT_REG = 1
+OBJECTIVE_SPLIT_REG = 2
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class EmbeddingPair:
     B: np.ndarray          # (p, k) item embeddings as rows
     lam: float
     rank: int
-    objective: str         # "product-reg" | "split-reg", "+scaled"/"+rotated" markers appended
+    objective: int         # OBJECTIVE_PRODUCT_REG (1) or OBJECTIVE_SPLIT_REG (2)
     sigma: np.ndarray      # top-k singular values of the training matrix
 
     def __post_init__(self):
@@ -47,12 +47,9 @@ class EmbeddingPair:
         if self.A.shape[1] != self.rank:
             raise ValueError(f"factors have {self.A.shape[1]} columns, "
                              f"rank is {self.rank}")
-
-    def with_factors(self, A: np.ndarray, B: np.ndarray, marker: str) -> "EmbeddingPair":
-        objective = self.objective
-        if not objective.endswith("+" + marker):
-            objective = objective + "+" + marker
-        return replace(self, A=A, B=B, objective=objective)
+        if type(self.objective) is not int or self.objective not in (1, 2):
+            raise ValueError(f"objective must be the int 1 or 2, "
+                             f"got {self.objective!r}")
 
 
 def _top(X, k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,35 +128,28 @@ _GRADS = {OBJECTIVE_PRODUCT_REG: objective1_gradients,
           OBJECTIVE_SPLIT_REG: objective2_gradients}
 
 
-class OracleDivergence(RuntimeError):
-    def __init__(self, last_loss: float):
-        self.last_loss = last_loss
-        super().__init__(f"gradient descent diverged; last finite loss {last_loss}")
-
-
-def gradient_descent_oracle(X, k: int, lam: float, objective: str,
-                            iters: int = 200_000, step: float = 1e-3,
-                            seed: int = 0, rel_tol: float = 1e-13) -> EmbeddingPair:
+def gradient_descent_oracle(X, k: int, lam: float, objective: int) -> EmbeddingPair:
     """Independent full-batch gradient-descent check of either closed form.
 
-    Intended for small instances only (n, p <= 50). The step grows by half
-    after each accepted update and is halved whenever a candidate update
-    would increase the loss; iteration stops early once the relative loss
-    improvement over a 100-step window falls below rel_tol.
+    Intended for small instances only (n, p <= 50). It starts from seeded
+    factors of scale 0.01 and a step of 1e-3. The step grows by half after
+    each accepted update and is halved whenever a candidate update would
+    increase the loss; iteration stops after 200 000 updates, or once the
+    relative loss improvement over a 100-step window falls below 1e-13.
     """
     if objective not in _LOSSES:
         raise ValueError(f"unknown objective {objective!r}")
     X = as_matrix(X)
     sigma, _ = spectrum(X).top(k)
     loss_fn, grad_fn = _LOSSES[objective], _GRADS[objective]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     p = X.shape[1]
     A = 0.01 * rng.standard_normal((p, k))
     B = 0.01 * rng.standard_normal((p, k))
 
-    loss = loss_fn(X, A, B, lam)
-    window_loss = loss
-    for it in range(iters):
+    loss = window_loss = loss_fn(X, A, B, lam)
+    step = 1e-3
+    for it in range(200_000):
         gA, gB = grad_fn(X, A, B, lam)
         while True:
             cand_A = A - step * gA
@@ -170,13 +160,14 @@ def gradient_descent_oracle(X, k: int, lam: float, objective: str,
             step *= 0.5
             if step < 1e-18:
                 if not np.isfinite(cand_loss):
-                    raise OracleDivergence(loss)
+                    raise FloatingPointError(
+                        f"gradient descent diverged; last finite loss {loss}")
                 cand_A, cand_B, cand_loss = A, B, loss
                 break
         A, B, loss = cand_A, cand_B, cand_loss
         step *= 1.5
         if it % 100 == 99:
-            if window_loss - loss <= rel_tol * max(1.0, abs(loss)):
+            if window_loss - loss <= 1e-13 * max(1.0, abs(loss)):
                 break
             window_loss = loss
 

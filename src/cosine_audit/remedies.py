@@ -34,10 +34,6 @@ def standardize(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - means) / stds, means, stds
 
 
-def unstandardize(Z, means, stds) -> np.ndarray:
-    return as_matrix(Z) * np.asarray(stds) + np.asarray(means)
-
-
 def backprojected_user_cosine(X, pair: EmbeddingPair) -> SimilarityMatrix:
     """Cosine between users represented by their smoothed interaction rows."""
     smoothed = predicted_scores(X, pair)

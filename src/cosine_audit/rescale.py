@@ -15,7 +15,7 @@ similarities of the rescaled embeddings change. Named families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class DiagonalScaling:
             raise ValueError("scaling entries must be finite and > 0")
         object.__setattr__(self, "entries", e)
 
-    def compose(self, other: "DiagonalScaling") -> "DiagonalScaling":
-        return DiagonalScaling(self.entries * other.entries)
-
 
 @dataclass(frozen=True)
 class RotationMatrix:
@@ -59,7 +56,7 @@ def apply_scaling(pair: EmbeddingPair, d: DiagonalScaling) -> EmbeddingPair:
     """Return the gauge-equivalent pair (A diag(d), B diag(d)^-1)."""
     if d.entries.shape[0] != pair.rank:
         raise ValueError(f"scaling length {d.entries.shape[0]} != rank {pair.rank}")
-    return pair.with_factors(pair.A * d.entries, pair.B / d.entries, "scaled")
+    return replace(pair, A=pair.A * d.entries, B=pair.B / d.entries)
 
 
 def named_scaling(pair: EmbeddingPair, family: str) -> DiagonalScaling:
@@ -86,7 +83,7 @@ def apply_rotation(pair: EmbeddingPair, r: RotationMatrix) -> EmbeddingPair:
     """Rotate both factors; scores and all cosine similarities are unchanged."""
     if r.values.shape[0] != pair.rank:
         raise ValueError(f"rotation size {r.values.shape[0]} != rank {pair.rank}")
-    return pair.with_factors(pair.A @ r.values, pair.B @ r.values, "rotated")
+    return replace(pair, A=pair.A @ r.values, B=pair.B @ r.values)
 
 
 def random_rotation(k: int, seed: int) -> RotationMatrix:

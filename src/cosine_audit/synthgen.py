@@ -12,7 +12,6 @@ so identical configs reproduce bit-identical outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +61,6 @@ class SimConfig:
     @classmethod
     def uniform_clusters(cls, n: int, p: int, C: int, **kw) -> "SimConfig":
         return cls(n=n, p=p, C=C, cluster_probs=tuple([1.0 / C] * C), **kw)
-
-    @classmethod
-    def from_json(cls, path) -> "SimConfig":
-        with open(path) as f:
-            raw = json.load(f)
-        return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":

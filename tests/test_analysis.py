@@ -203,13 +203,13 @@ class TestCompareConfigurations:
             if entry.objective == 1:
                 b = f.right * np.sqrt(1.0 / (1.0 + entry.lam / s**2))
                 d = named_scaling(EmbeddingPair(b, b, entry.lam, entry.rank,
-                                                "product-reg", s),
+                                                1, s),
                                   entry.family).entries
                 b = b / d
             else:
                 b = f.right * np.sqrt(s * np.maximum(0.0, 1.0 - entry.lam / s))
             want = cluster_contrast(item_item(x, EmbeddingPair(
-                b, b, entry.lam, entry.rank, "reference", s),
+                b, b, entry.lam, entry.rank, entry.objective, s),
                 on_zero="drop"), gt).contrast
             assert res.contrast.contrast == pytest.approx(want, abs=1e-12)
 

@@ -8,6 +8,9 @@ from cosine_audit import cli
 from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.io_utils import read_matrix_csv
 from cosine_audit.matrix_core import spectrum
+from cosine_audit.mf_solvers import solve_objective1, solve_objective2
+from cosine_audit.remedies import standardize
+from cosine_audit.similarity import user_item
 from cosine_audit.synthgen import SimConfig, sample_interactions
 
 SIM = {"n": 120, "p": 30, "C": 3, "cluster_probs": [0.4, 0.3, 0.3],
@@ -78,6 +81,27 @@ class TestSolveAndSimilarity:
         assert a.shape == (30, 5)
         meta = json.loads((out / "pair_obj1" / "meta.json").read_text())
         assert meta["lambda"] == 10.0
+        assert meta["objective"] == 1
+
+    @pytest.mark.parametrize("objective", [1, 2])
+    def test_standardize_solves_the_standardized_x(self, tmp_path, objective):
+        cfg = write_config(tmp_path, {"solve": {
+            "objective": objective, "lambda": 10.0, "rank": 5,
+            "standardize": True}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                     "--kind", "user-item"]) == 0
+        x = read_matrix_csv(out / "X.csv")
+        z, _, _ = standardize(x)
+        solver = solve_objective1 if objective == 1 else solve_objective2
+        want = solver(z, 5, 10.0)
+        a = read_matrix_csv(out / f"pair_obj{objective}" / "A.csv")
+        assert np.array_equal(a, want.A)
+        assert not np.allclose(a, solver(x, 5, 10.0).A)
+        sim = read_matrix_csv(
+            out / f"similarity_user-item_cosine_obj{objective}_identity.csv")
+        assert np.array_equal(sim, user_item(z, want, on_zero="drop").values)
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_or_negative_lambda_exit_2(self, tmp_path, capsys, lam):
@@ -124,6 +148,46 @@ class TestSolveAndSimilarity:
                      "--kind", "user-user"]) == 2
         assert "user-user" in capsys.readouterr().err
         assert not (out / "X.csv").exists()
+
+
+class TestStrictEntries:
+    ENTRY = {"objective": 1, "lambda": 100.0, "rank": 8}
+
+    @pytest.mark.parametrize("key, value", [
+        ("rank", 8.7), ("rank", 8.0), ("objective", True), ("objective", 1.9),
+        ("lambda", "100"), ("familly", "inverse"), ("standardize", False)])
+    def test_plan_entry_exit_2_naming_the_key(self, tmp_path, capsys, key,
+                                              value):
+        cfg = write_config(tmp_path, {"plan": [dict(self.ENTRY, **{key: value})]})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"plan[0].{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "similarity",
+                                         "fullrank-check"])
+    @pytest.mark.parametrize("key, value", [
+        ("rank", 8.7), ("objective", True), ("lambda", "100"),
+        ("lamda", 100.0), ("standardize", "no"), ("family", "inverse")])
+    def test_solve_section_exit_2_naming_the_key(self, tmp_path, capsys,
+                                                 command, key, value):
+        cfg = write_config(tmp_path, {"solve": dict(self.ENTRY, **{key: value})})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"solve.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--lambda", "5"], ["audit", "--metric", "dot"],
+        ["simulate", "--rank", "3"], ["solve", "--family", "inverse"],
+        ["fullrank-check", "--objective", "2"]])
+    def test_flag_the_subcommand_does_not_read_exit_2(self, tmp_path, capsys,
+                                                      argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAudit:
@@ -262,6 +326,19 @@ class TestAudit:
         assert not (out / "report.json").exists()
         assert not list(out.glob("similarity_*"))
 
+    def test_failure_after_the_ground_truth_heatmap_removes_it(
+            self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("full-rank check failed")
+
+        monkeypatch.setattr(cli, "audit_full_rank", failing)
+        plan = [{"objective": 1, "lambda": 10.0, "rank": 30}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not (out / "ground_truth.pgm").exists()
+        assert not list(out.glob("similarity_*"))
+
 
 class TestFullrankCheck:
     def test_passes_on_simulated_data(self, tmp_path):
@@ -272,6 +349,15 @@ class TestFullrankCheck:
                      "--out", str(out)]) == 0
         report = json.loads((out / "fullrank_report.json").read_text())
         assert report["all_passed"]
+
+    def test_objective_2_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"solve": {"objective": 2,
+                                                "lambda": 100.0, "rank": 30}})
+        out = tmp_path / "out"
+        assert main(["fullrank-check", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "solve.objective" in capsys.readouterr().err
+        assert not (out / "fullrank_report.json").exists()
 
     def test_lambda_zero_passes(self, tmp_path):
         cfg = write_config(tmp_path)

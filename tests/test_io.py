@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from cosine_audit.io_utils import (config_hash, read_embedding_pair,
                                    write_similarity)
 from cosine_audit.mf_solvers import solve_objective1
 from cosine_audit.similarity import SimilarityMatrix
-from cosine_audit.synthgen import SimConfig, sample_interactions
+from cosine_audit.synthgen import (GroundTruth, SimConfig, figure_item_order,
+                                   ground_truth_similarity,
+                                   sample_interactions)
+
+FIGURE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "figure_audit.json"
 
 
 def test_matrix_csv_round_trip(tmp_path, rng):
@@ -188,6 +193,15 @@ def test_pgm_bytes_match_per_element_writer(tmp_path):
     assert path.read_bytes() == per_element_pgm(v, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("layout", ["transposed", "fortran"])
+def test_pgm_any_memory_layout_matches_reference(tmp_path, layout):
+    v = np.random.default_rng(8).uniform(-1.2, 1.2, (37, 21))
+    v = v.T if layout == "transposed" else np.asfortranarray(v)
+    path = tmp_path / "h.pgm"
+    write_pgm(path, v, -1.0, 1.0)
+    assert path.read_bytes() == per_element_pgm(v, -1.0, 1.0)
+
+
 def test_pgm_plain_format(tmp_path):
     path = tmp_path / "h.pgm"
     write_pgm(path, np.array([[-1.0, 0.0], [0.5, 1.0]]), -1.0, 1.0)
@@ -207,8 +221,10 @@ def test_embedding_pair_round_trip(tmp_path, rng):
     assert np.array_equal(back.B, pair.B)
     assert back.lam == pair.lam
     assert back.rank == pair.rank
-    assert back.objective == pair.objective
+    assert back.objective == pair.objective == 1
     assert np.array_equal(back.sigma, pair.sigma)
+    meta = json.loads((tmp_path / "pair" / "meta.json").read_text())
+    assert meta["objective"] == 1
 
 
 def test_similarity_export_with_sidecar(tmp_path, rng):
@@ -249,3 +265,19 @@ def test_audit_exports_match_reference_writers(tmp_path):
         values = read_matrix_csv(path)
         assert (path.with_suffix(".pgm").read_bytes()
                 == per_element_pgm(values, lo, hi)), path.name
+
+
+def test_figure_config_audit(tmp_path):
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(FIGURE_CONFIG), "--out", str(out)]) == 0
+    gt = GroundTruth.from_dict(json.loads((out / "ground_truth.json").read_text()))
+    order = figure_item_order(gt)
+    truth = ground_truth_similarity(gt)[order][:, order]
+    assert (out / "ground_truth.pgm").read_bytes() == per_element_pgm(truth, 0.0, 1.0)
+    assert len(list(out.glob("similarity_*.pgm"))) == 4
+    report = json.loads((out / "report.json").read_text())
+    # three gauges of one objective-1 model on the same data
+    gauges = [r["contrast"]["contrast"] for r in report["results"]
+              if r["entry"]["objective"] == 1]
+    assert len(gauges) == 3
+    assert max(gauges) - min(gauges) > 0.2

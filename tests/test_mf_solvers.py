@@ -11,6 +11,10 @@ from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
                                      solve_objective2)
 from cosine_audit.rescale import apply_scaling, random_scaling
 
+# test ids name each objective as the module docstring does
+OBJECTIVE_IDS = {OBJECTIVE_PRODUCT_REG: "product-reg",
+                 OBJECTIVE_SPLIT_REG: "split-reg"}
+
 
 class TestSolveObjective1:
     def test_lambda_zero_full_rank_is_identity(self, rng):
@@ -150,6 +154,13 @@ def test_embedding_pair_rejects_bad_shapes():
                       sigma=np.ones(7))
 
 
+@pytest.mark.parametrize("objective", ["product-reg", True, 1.0, 3])
+def test_embedding_pair_objective_is_the_int_1_or_2(objective):
+    with pytest.raises(ValueError):
+        EmbeddingPair(A=np.zeros((3, 2)), B=np.zeros((3, 2)), lam=1.0,
+                      rank=2, objective=objective, sigma=np.ones(2))
+
+
 class TestLosses:
     def test_zero_factors(self, small_x):
         a = np.zeros((6, 3))
@@ -218,7 +229,7 @@ class TestGradients:
     @pytest.mark.parametrize("objective,loss_fn,grad_fn", [
         (OBJECTIVE_PRODUCT_REG, objective1_loss, objective1_gradients),
         (OBJECTIVE_SPLIT_REG, objective2_loss, objective2_gradients),
-    ])
+    ], ids=OBJECTIVE_IDS.get)
     def test_matches_central_finite_differences(self, objective, loss_fn,
                                                 grad_fn):
         gen = np.random.default_rng(3)
@@ -250,7 +261,7 @@ class TestOracle:
     @pytest.mark.parametrize("objective,solver,loss_fn", [
         (OBJECTIVE_PRODUCT_REG, solve_objective1, objective1_loss),
         (OBJECTIVE_SPLIT_REG, solve_objective2, objective2_loss),
-    ])
+    ], ids=OBJECTIVE_IDS.get)
     def test_matches_closed_form(self, small_x, objective, solver, loss_fn):
         lam = 1.0 if objective == OBJECTIVE_PRODUCT_REG else 0.5
         closed = solver(small_x, 3, lam)

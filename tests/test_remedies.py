@@ -5,8 +5,7 @@ from cosine_audit.errors import ZeroVarianceError
 from cosine_audit.matrix_core import cosine_of_rows
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
 from cosine_audit.remedies import (backprojected_item_cosine,
-                                   backprojected_user_cosine, standardize,
-                                   unstandardize)
+                                   backprojected_user_cosine, standardize)
 from cosine_audit.rescale import (apply_rotation, apply_scaling,
                                   random_rotation, random_scaling)
 
@@ -32,7 +31,7 @@ class TestStandardize:
     def test_round_trip(self, rng):
         x = rng.standard_normal((20, 5)) * 4 - 2
         z, means, stds = standardize(x)
-        assert np.allclose(unstandardize(z, means, stds), x, atol=1e-9)
+        assert np.allclose(z * stds + means, x, atol=1e-9)
 
     def test_constant_column(self):
         x = np.ones((4, 2))

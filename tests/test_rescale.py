@@ -38,9 +38,9 @@ class TestDiagonalScaling:
         with pytest.raises(ValueError):
             apply_scaling(pair, DiagonalScaling(np.ones(4)))
 
-    def test_scaled_marker(self, pair):
+    def test_scaling_keeps_objective(self, pair):
         scaled = apply_scaling(pair, random_scaling(3, 0))
-        assert scaled.objective.endswith("+scaled")
+        assert scaled.objective == pair.objective == 1
 
 
 class TestApplyScaling:
@@ -70,7 +70,7 @@ class TestApplyScaling:
         pair = solve_objective1(x, 3, 1.0)
         d1, d2 = random_scaling(3, s1), random_scaling(3, s2)
         via_two = apply_scaling(apply_scaling(pair, d1), d2)
-        via_one = apply_scaling(pair, d1.compose(d2))
+        via_one = apply_scaling(pair, DiagonalScaling(d1.entries * d2.entries))
         assert np.allclose(via_two.A, via_one.A, atol=1e-10)
         assert np.allclose(via_two.B, via_one.B, atol=1e-10)
 

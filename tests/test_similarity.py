@@ -56,7 +56,7 @@ class TestItemItem:
         b = np.random.default_rng(6).standard_normal((5, 3))
         b[2] = [1e-32, -3e-33, 2e-33]
         pair = EmbeddingPair(A=b, B=b, lam=1.0, rank=3,
-                             objective="product-reg", sigma=np.ones(3))
+                             objective=1, sigma=np.ones(3))
         s = item_item(None, pair, on_zero="drop")
         assert s.excluded_rows == (2,)
         assert s.values.shape == (4, 4)

@@ -50,13 +50,11 @@ class TestSimConfig:
         path = tmp_path / "sim.json"
         import json
         path.write_text(json.dumps(c.to_dict()))
-        assert SimConfig.from_json(path) == c
+        assert SimConfig.from_dict(json.loads(path.read_text())) == c
 
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "sim.json"
-        path.write_text('{"n": 5}')
+    def test_missing_key(self):
         with pytest.raises(ConfigError):
-            SimConfig.from_json(path)
+            SimConfig.from_dict({"n": 5})
 
 
 class TestGroundTruth:
