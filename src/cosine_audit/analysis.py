@@ -225,7 +225,6 @@ class PlanResult:
     # items permuted to figure order; None once handed to an export
     similarity: SimilarityMatrix | None
     excluded_items: tuple[int, ...]
-    item_order: np.ndarray
     effective_rank: int  # nonzero columns of B after shrinkage
 
     @property
@@ -275,12 +274,10 @@ def run_plan_entry(spec: Spectrum, gt: GroundTruth,
     order = figure_item_order(gt)
     keep = np.setdiff1d(np.arange(gt.item_cluster.shape[0]),
                         np.asarray(sim.excluded_rows, dtype=np.int64))
-    pos = {int(i): j for j, i in enumerate(keep)}
-    kept_order = np.array([pos[int(i)] for i in order if int(i) in pos],
-                          dtype=np.int64)
+    kept_order = np.searchsorted(keep, order[np.isin(order, keep)])
     permuted = replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
     return PlanResult(entry=entry, contrast=contrast, similarity=permuted,
-                      excluded_items=permuted.excluded_rows, item_order=order,
+                      excluded_items=permuted.excluded_rows,
                       effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
 
 

@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate -> solve -> similarity -> audit.
 
 One JSON config drives all subcommands; it may contain the sections
-"sim", "solve", "plan", and "output". Command-line flags override config
-keys, which override built-in defaults.
+"sim", "solve", "plan", and "output". Every subcommand checks the whole
+file before it writes anything. Command-line flags override config keys,
+which override built-in defaults.
 
 Exit codes: 0 success, 2 config error, 3 compute error, 4 identity-check
 failure.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from . import __version__
 from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
                        solve_plan_entry)
-from .errors import ConfigError
+from .errors import ConfigError, check_section
 from .io_utils import (read_json, read_matrix_csv, write_embedding_pair,
                        write_json, write_manifest, write_matrix_csv, write_pgm,
                        write_similarity)
@@ -34,12 +36,8 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_CHECK = 4
 
-DEFAULT_SIM = {
-    "n": 20_000, "p": 1_000, "C": 5,
-    "cluster_probs": [0.2, 0.2, 0.2, 0.2, 0.2],
-    "beta_item_min": 0.25, "beta_item_max": 1.5,
-    "beta_user": 0.5, "seed": 0,
-}
+# the paper's scale: five equally likely clusters, SimConfig's exponents
+DEFAULT_SIM = SimConfig.uniform_clusters(20_000, 1_000, 5).to_dict()
 
 DEFAULT_PLAN = [
     {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "collapse"},
@@ -60,105 +58,81 @@ SIM_RECORD = "X.sim.json"
 USER_USER_MAX_USERS = 5_000
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        cfg = read_json(path)
-    except (OSError, ValueError) as e:
-        raise ConfigError("config", f"cannot read {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top-level JSON object expected")
-    return cfg
+# the JSON type of each key the config file may hold at its top level, in
+# its "output" section, in a plan entry and in its "solve" section; the
+# "sim" section's table is synthgen.SIM_KEYS
+CONFIG_KEYS = {"sim": "a JSON object", "solve": "a JSON object",
+               "plan": "a non-empty list", "output": "a JSON object"}
+OUTPUT_KEYS = {"dir": "a string"}
+ENTRY_KEYS = {"objective": "an integer", "lambda": "a number",
+              "rank": "an integer"}
+PLAN_KEYS = {**ENTRY_KEYS, "family": "a string"}
+SOLVE_KEYS = {**ENTRY_KEYS, "standardize": "true or false"}
 
 
-def _sim_config(cfg: dict, args) -> SimConfig:
-    sim = dict(DEFAULT_SIM)
-    # accept either a {"sim": {...}} section or a bare SimConfig object
-    section = cfg.get("sim", cfg if "n" in cfg else {})
-    sim.update(section)
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    return SimConfig.from_dict(sim)
+@dataclass(frozen=True)
+class Resolved:
+    """The config file, with the built-in defaults under it and the
+    subcommand's flags over it."""
+    sim: SimConfig
+    plan: list[PlanEntry]
+    solve: PlanEntry  # the solve section as a one-entry plan
+    standardize: bool  # whether X is standardized before the solve
+    out: Path
 
 
-# the JSON type of each key a plan entry or the solve section may hold
-_ENTRY_TYPES = {"objective": (int, "an integer"), "rank": (int, "an integer"),
-                "lambda": ((int, float), "a number"), "family": (str, "a string"),
-                "standardize": (bool, "true or false")}
-
-
-def _entry(raw, where: str, extra: str, defaults: dict | None = None,
-           flags: dict | None = None) -> PlanEntry:
-    """The PlanEntry that the JSON object `raw` at `where` describes, over
-    `defaults` and under `flags` (typed by argparse).
-
-    raw may hold "objective", "lambda", "rank" and `extra` ("family" in a
-    plan entry, "standardize" in the solve section). Any other key, another
-    JSON type (true and 8.0 are not integers) or a value PlanEntry refuses
-    is a ConfigError naming the key.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(where, "must be a JSON object")
-    for key, value in raw.items():
-        if key not in ("objective", "lambda", "rank", extra):
-            raise ConfigError(f"{where}.{key}", "unknown key; expected "
-                                                f"objective, lambda, rank or {extra}")
-        types, name = _ENTRY_TYPES[key]
-        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-            raise ConfigError(f"{where}.{key}", f"must be {name}, got {value!r}")
-    fields = {**(defaults or {}), **raw, **(flags or {})}
+def _entry(fields: dict, where: str) -> PlanEntry:
     try:
         return PlanEntry(objective=fields["objective"],
                          lam=float(fields["lambda"]), rank=fields["rank"],
                          family=fields.get("family", "identity"))
-    except KeyError as e:
-        raise ConfigError(f"{where}.{e.args[0]}", "missing key")
-    except (ValueError, OverflowError) as e:
+    except ValueError as e:
         raise ConfigError(where, str(e))
 
 
-def _plan(cfg: dict) -> list[PlanEntry]:
-    raw = cfg.get("plan", DEFAULT_PLAN)
-    if not (isinstance(raw, list) and raw):
-        raise ConfigError("plan", "must be a non-empty list of entries")
-    return [_entry(e, f"plan[{i}]", "family") for i, e in enumerate(raw)]
-
-
-def _solve_entry(cfg: dict, args) -> tuple[PlanEntry, bool]:
-    """The solve section, with the subcommand's flags over it, as a
-    one-entry plan, and whether X is standardized before the solve."""
-    section = cfg.get("solve", {})
+def _resolve(args) -> Resolved:
+    """Read the config file once and check every section of it, whichever
+    the subcommand reads; a ConfigError names the first offending key.
+    Nothing is written before this returns."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            cfg = read_json(args.config)
+        except (OSError, ValueError) as e:
+            raise ConfigError("config", f"cannot read {args.config}: {e}")
+    check_section(cfg, "", CONFIG_KEYS)
+    sim = {**DEFAULT_SIM, **cfg.get("sim", {})}
+    if args.seed is not None:
+        sim["seed"] = args.seed
+    plan = [_entry(check_section(e, f"plan[{i}]", PLAN_KEYS,
+                                 required=ENTRY_KEYS), f"plan[{i}]")
+            for i, e in enumerate(cfg.get("plan", DEFAULT_PLAN))]
+    solve = check_section(cfg.get("solve", {}), "solve", SOLVE_KEYS)
     flags = {k: v for k, v in vars(args).items()
              if k in ("objective", "lambda", "rank", "family") and v is not None}
-    entry = _entry(section, "solve", "standardize", DEFAULT_SOLVE, flags)
-    return entry, section.get("standardize", False)
-
-
-def _out_dir(cfg: dict, args) -> Path:
-    out = args.out or cfg.get("output", {}).get("dir", ".")
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    output = check_section(cfg.get("output", {}), "output", OUTPUT_KEYS)
+    return Resolved(sim=SimConfig.from_dict(sim), plan=plan,
+                    solve=_entry({**DEFAULT_SOLVE, **solve, **flags}, "solve"),
+                    standardize=solve.get("standardize", False),
+                    out=Path(args.out or output.get("dir", ".")))
 
 
 def _simulate(out: Path, sim_cfg: SimConfig):
     sample, gt = sample_interactions(sim_cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "X.csv", sample.rows)
     write_json(out / "ground_truth.json", gt.to_dict())
     write_json(out / SIM_RECORD, sim_cfg.to_dict())
     return sample.rows, gt
 
 
-def _load_or_simulate(out: Path, cfg: dict, args):
-    """(X as `BinaryRows`, ground truth, sim config): reused from `out` when
-    its simulation record matches the resolved sim config, simulated when
-    absent."""
-    sim_cfg = _sim_config(cfg, args)
+def _load_or_simulate(out: Path, sim_cfg: SimConfig):
+    """(X as `BinaryRows`, ground truth): reused from `out` when its
+    simulation record matches `sim_cfg`, simulated when absent."""
     x_path = out / "X.csv"
     gt_path = out / "ground_truth.json"
     if not (x_path.exists() and gt_path.exists()):
-        return (*_simulate(out, sim_cfg), sim_cfg)
+        return _simulate(out, sim_cfg)
     try:
         recorded = read_json(out / SIM_RECORD)
     except (OSError, ValueError):
@@ -171,13 +145,12 @@ def _load_or_simulate(out: Path, cfg: dict, args):
         raise ConfigError("sim", f"{x_path} was not simulated from this config "
                                  f"({diff}); use another --out or rerun simulate")
     return (read_matrix_csv(x_path, binary=True),
-            GroundTruth.from_dict(read_json(gt_path)), sim_cfg)
+            GroundTruth.from_dict(read_json(gt_path)))
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    sim_cfg = _sim_config(cfg, args)
-    out = _out_dir(cfg, args)
+    cfg = _resolve(args)
+    sim_cfg, out = cfg.sim, cfg.out
     _simulate(out, sim_cfg)
     write_manifest(out, sim_cfg.to_dict(), sim_cfg.seed, __version__)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
@@ -191,32 +164,28 @@ def _training_x(X, standardize_x: bool) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    entry, standardize_x = _solve_entry(cfg, args)
-    out = _out_dir(cfg, args)
-    X, _, sim_cfg = _load_or_simulate(out, cfg, args)
-    pair = solve_plan_entry(_training_x(X, standardize_x), entry)
+    cfg = _resolve(args)
+    entry, out = cfg.solve, cfg.out
+    X, _ = _load_or_simulate(out, cfg.sim)
+    pair = solve_plan_entry(_training_x(X, cfg.standardize), entry)
     pair_dir = out / f"pair_obj{entry.objective}"
     write_embedding_pair(pair_dir, pair)
     solve = {"objective": entry.objective, "lambda": entry.lam,
-             "rank": entry.rank, "standardize": standardize_x}
-    write_manifest(out, {"sim": sim_cfg.to_dict(), "solve": solve},
-                   sim_cfg.seed, __version__)
+             "rank": entry.rank, "standardize": cfg.standardize}
+    write_manifest(out, {"sim": cfg.sim.to_dict(), "solve": solve},
+                   cfg.sim.seed, __version__)
     print(f"wrote embedding pair to {pair_dir}")
     return EXIT_OK
 
 
 def cmd_similarity(args) -> int:
-    cfg = _load_config(args.config)
-    entry, standardize_x = _solve_entry(cfg, args)
-    if args.kind == "user-user":
-        n = _sim_config(cfg, args).n
-        if n > USER_USER_MAX_USERS:
-            raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
-                                      f"{n} > {USER_USER_MAX_USERS}")
-    out = _out_dir(cfg, args)
-    X, _, _ = _load_or_simulate(out, cfg, args)
-    X = _training_x(X, standardize_x)
+    cfg = _resolve(args)
+    entry, out, n = cfg.solve, cfg.out, cfg.sim.n
+    if args.kind == "user-user" and n > USER_USER_MAX_USERS:
+        raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
+                                  f"{n} > {USER_USER_MAX_USERS}")
+    X, _ = _load_or_simulate(out, cfg.sim)
+    X = _training_x(X, cfg.standardize)
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
@@ -228,10 +197,9 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load_config(args.config)
-    plan = _plan(cfg)
-    out = _out_dir(cfg, args)
-    X, gt, sim_cfg = _load_or_simulate(out, cfg, args)
+    cfg = _resolve(args)
+    plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
+    X, gt = _load_or_simulate(out, sim_cfg)
 
     written: list[Path] = []
 
@@ -276,17 +244,19 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fullrank_check(args) -> int:
-    cfg = _load_config(args.config)
-    entry, _ = _solve_entry(cfg, args)
-    if entry.objective != 1:
+    cfg = _resolve(args)
+    # the full-rank identities are those of objective 1 on the raw X
+    if cfg.solve.objective != 1:
         raise ConfigError("solve.objective", "the full-rank identities hold "
                                              "for objective 1 only")
-    out = _out_dir(cfg, args)
-    X, _, _ = _load_or_simulate(out, cfg, args)
-    n, p = X.shape
+    if cfg.standardize:
+        raise ConfigError("solve.standardize", "the full-rank identities "
+                                               "hold for the raw X only")
+    n, p, out = cfg.sim.n, cfg.sim.p, cfg.out
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    audit = audit_full_rank(X.dense(), entry.lam)
+    X, _ = _load_or_simulate(out, cfg.sim)
+    audit = audit_full_rank(X.dense(), cfg.solve.lam)
     write_json(out / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))

@@ -159,17 +159,6 @@ def _csv_block(block: np.ndarray) -> bytes:
     return text[keep].tobytes()
 
 
-def _binary_csv(m: np.ndarray) -> bytes | None:
-    """CSV bytes of a block whose entries are all +0.0 or 1.0, else None.
-
-    FLOAT_FMT prints those as "0" and "1", so each row is one digit per
-    entry between commas. -0.0 prints "-0" and takes the general path.
-    """
-    if not (np.all((m == 0.0) | (m == 1.0)) and not np.signbit(m).any()):
-        return None
-    return _ones_csv(m == 1.0)
-
-
 def _ones_csv(ones: np.ndarray) -> bytes:
     """CSV bytes of the 0/1 block whose ones are the True entries of `ones`."""
     n, p = ones.shape
@@ -196,9 +185,7 @@ def write_matrix_csv(path, m) -> None:
             f.write(b"\n" * m.shape[0])
             return
         for i in range(0, m.shape[0], _BLOCK_ROWS):
-            block = m[i:i + _BLOCK_ROWS]
-            data = _binary_csv(block)
-            f.write(_csv_block(block) if data is None else data)
+            f.write(_csv_block(m[i:i + _BLOCK_ROWS]))
 
 
 def read_matrix_csv(path, binary: bool = False):

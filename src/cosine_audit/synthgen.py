@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_section
 from .matrix_core import BinaryRows
 
 MIN_ITEMS_PER_USER = 5
@@ -25,6 +25,12 @@ DIRICHLET_CONCENTRATION = 0.5
 _USER_BLOCK = 1_000
 
 _STREAMS = ("clusters", "exponents", "popularities", "prefs", "activity", "picks")
+
+# the JSON type of each key of the config's "sim" section
+SIM_KEYS = {"n": "an integer", "p": "an integer", "C": "an integer",
+            "cluster_probs": "a list of numbers", "beta_item_min": "a number",
+            "beta_item_max": "a number", "beta_user": "a number",
+            "seed": "an integer"}
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class SimConfig:
             raise ConfigError("p", "must be >= 1")
         if self.C < 1:
             raise ConfigError("C", "must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         probs = np.asarray(self.cluster_probs, dtype=np.float64)
         if probs.shape != (self.C,):
             raise ConfigError("cluster_probs", f"must have length C={self.C}")
@@ -64,24 +72,14 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
-        required = {"n", "p", "C", "cluster_probs", "beta_item_min",
-                    "beta_item_max", "beta_user", "seed"}
-        missing = required - raw.keys()
-        if missing:
-            raise ConfigError(sorted(missing)[0], "missing key")
-        try:
-            return cls(
-                n=int(raw["n"]), p=int(raw["p"]), C=int(raw["C"]),
-                cluster_probs=tuple(float(x) for x in raw["cluster_probs"]),
-                beta_item_min=float(raw["beta_item_min"]),
-                beta_item_max=float(raw["beta_item_max"]),
-                beta_user=float(raw["beta_user"]),
-                seed=int(raw["seed"]),
-            )
-        except (TypeError, ValueError) as e:
-            if isinstance(e, ConfigError):
-                raise
-            raise ConfigError("config", str(e)) from e
+        """The SimConfig the `sim` section `raw` describes; every key of
+        SIM_KEYS is required."""
+        check_section(raw, "sim", SIM_KEYS, required=SIM_KEYS)
+        return cls(n=raw["n"], p=raw["p"], C=raw["C"],
+                   cluster_probs=tuple(map(float, raw["cluster_probs"])),
+                   beta_item_min=float(raw["beta_item_min"]),
+                   beta_item_max=float(raw["beta_item_max"]),
+                   beta_user=float(raw["beta_user"]), seed=raw["seed"])
 
     def to_dict(self) -> dict:
         return {

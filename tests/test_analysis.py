@@ -4,14 +4,14 @@ import pytest
 import cosine_audit.analysis as analysis
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
                                    cluster_contrast, compare_configurations,
-                                   _ground_truth_contrast)
+                                   solve_plan_entry, _ground_truth_contrast)
 from cosine_audit.errors import ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows, svd
 from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
 from cosine_audit.rescale import apply_scaling, named_scaling
 from cosine_audit.similarity import SimilarityMatrix, item_item, user_user
 from cosine_audit.synthgen import (GroundTruth, SimConfig,
-                                   ground_truth_similarity,
+                                   figure_item_order, ground_truth_similarity,
                                    sample_ground_truth, sample_interactions)
 
 
@@ -168,10 +168,20 @@ class TestCompareConfigurations:
 
     def test_export_order_is_cluster_then_popularity(self, desk_data):
         x, gt = desk_data
-        report = compare_configurations(x, gt, [PlanEntry(1, 10.0, 10)])
-        order = report.results[0].item_order
-        clusters = gt.item_cluster[order]
-        assert np.all(np.diff(clusters) >= 0)
+        x = x.copy()
+        x[:, [3, 40, 79]] = 0.0  # items the cosine matrix drops
+        entry = PlanEntry(1, 10.0, 10)
+        res = compare_configurations(x, gt, [entry]).results[0]
+        full = item_item(x, solve_plan_entry(x, entry), "cosine",
+                         on_zero="drop")
+        assert {3, 40, 79} <= set(res.excluded_items)
+        assert res.excluded_items == full.excluded_rows
+        kept = [i for i in range(x.shape[1]) if i not in full.excluded_rows]
+        order = [i for i in figure_item_order(gt) if i in kept]
+        assert np.all(np.diff(gt.item_cluster[order]) >= 0)
+        at = [kept.index(i) for i in order]
+        assert np.array_equal(res.similarity.values,
+                              full.values[np.ix_(at, at)])
 
     def test_one_gram_per_x(self, desk_data, monkeypatch):
         x, gt = desk_data

@@ -64,11 +64,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "C" in capsys.readouterr().err
 
-    def test_bare_sim_config_accepted(self, tmp_path):
+    def test_bare_sim_config_refused(self, tmp_path, capsys):
+        # a top-level object holding the sim keys is not a second format
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(SIM))
         assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 0
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error: n: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSolveAndSimilarity:
@@ -155,7 +158,8 @@ class TestStrictEntries:
 
     @pytest.mark.parametrize("key, value", [
         ("rank", 8.7), ("rank", 8.0), ("objective", True), ("objective", 1.9),
-        ("lambda", "100"), ("familly", "inverse"), ("standardize", False)])
+        ("lambda", "100"), ("familly", "inverse"), ("standardize", False),
+        pytest.param("lambda", 10 ** 400, id="lambda-beyond_float64")])
     def test_plan_entry_exit_2_naming_the_key(self, tmp_path, capsys, key,
                                               value):
         cfg = write_config(tmp_path, {"plan": [dict(self.ENTRY, **{key: value})]})
@@ -188,6 +192,95 @@ class TestStrictEntries:
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+COMMANDS = ["simulate", "solve", "similarity", "audit", "fullrank-check"]
+
+
+class TestStrictConfig:
+    """Each subcommand checks the whole file before it writes anything."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("cfg, flags, key", [
+        ({"simm": SIM}, [], "simm"),
+        ({"sim": SIM, "plann": []}, [], "plann"),
+        ({"sim": dict(SIM, n=120.9)}, [], "sim.n"),
+        ({"sim": dict(SIM, n=120.0)}, [], "sim.n"),
+        ({"sim": dict(SIM, seed=True)}, [], "sim.seed"),
+        ({"sim": dict(SIM, C="3")}, [], "sim.C"),
+        ({"sim": dict(SIM, cluster_probs=[True, False, False])}, [],
+         "sim.cluster_probs"),
+        ({"sim": dict(SIM, seeed=3)}, [], "sim.seeed"),
+        ({"sim": [1, 2]}, [], "sim"),
+        ({"sim": SIM, "output": {"dirr": "zz"}}, [], "output.dirr"),
+        ({"sim": SIM, "output": "x"}, [], "output"),
+        ({"sim": SIM, "output": {"dir": 5}}, [], "output.dir"),
+        ({"sim": dict(SIM, seed=-1)}, [], "seed"),
+        ({"sim": SIM}, ["--seed", "-3"], "seed"),
+        ({"sim": SIM, "plan": [{"objective": 1, "lambda": 1.0}]}, [],
+         "plan[0].rank"),
+        ({"sim": SIM, "plan": [{"objective": 1, "lambda": 1.0,
+                                "rank": 4.0}]}, [], "plan[0].rank"),
+    ], ids=["simm", "plann", "n_float", "n_integral_float", "seed_bool",
+            "C_string", "probs_bools", "seeed", "sim_list", "output_dirr",
+            "output_string", "output_dir_int", "seed_negative",
+            "seed_flag_negative", "plan_missing_rank", "plan_float_rank"])
+    def test_exit_2_naming_the_key_writing_nothing(
+            self, tmp_path, monkeypatch, capsys, command, cfg, flags, key):
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if "output" not in cfg:
+            cfg = dict(cfg, output={"dir": str(out)})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert list(cwd.iterdir()) == []
+
+    def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error: config: must be a JSON object" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_simulation_leaves_no_directory(self, tmp_path,
+                                                   monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("Maximum allowed dimension exceeded")
+
+        monkeypatch.setattr(cli, "sample_interactions", failing)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_output_dir_from_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"output": {"dir": "from_config"}})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "from_config" / "X.csv").exists()
+        assert main(["simulate", "--config", str(cfg), "--out", "flag"]) == 0
+        assert (tmp_path / "flag" / "X.csv").exists()
+
+    def test_integer_numbers_written_as_floats(self, tmp_path):
+        # JSON integers are numbers; the record holds them as floats, as a
+        # config that spells them 1.0 does
+        sim = dict(SIM, cluster_probs=[1, 0, 0], beta_user=1)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": sim}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "X.sim.json").read_text())
+        assert record["cluster_probs"] == [1.0, 0.0, 0.0]
+        assert all(isinstance(v, float)
+                   for v in [*record["cluster_probs"], record["beta_user"]])
 
 
 class TestAudit:
@@ -358,6 +451,15 @@ class TestFullrankCheck:
                      "--out", str(out)]) == 2
         assert "solve.objective" in capsys.readouterr().err
         assert not (out / "fullrank_report.json").exists()
+
+    def test_standardize_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"solve": {"objective": 1, "lambda": 100.0,
+                                                "rank": 30, "standardize": True}})
+        out = tmp_path / "out"
+        assert main(["fullrank-check", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "solve.standardize" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_zero_passes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -56,6 +56,22 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"n": 5})
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError) as e:
+            cfg(seed=-1)
+        assert e.value.key == "seed"
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 50.0), ("p", True), ("C", "3"), ("seed", 99.5),
+        ("cluster_probs", [True, False, False]), ("cluster_probs", 1.0),
+        ("beta_user", "0.5"), ("beta_item_min", False), ("sed", 1),
+        pytest.param("beta_user", 10 ** 400, id="beta_user-beyond_float64")])
+    def test_from_dict_is_strict(self, key, value):
+        raw = dict(cfg().to_dict(), **{key: value})
+        with pytest.raises(ConfigError) as e:
+            SimConfig.from_dict(raw)
+        assert e.value.key == f"sim.{key}"
+
 
 class TestGroundTruth:
     def test_single_cluster(self):
