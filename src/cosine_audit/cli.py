@@ -28,7 +28,7 @@ from .io_utils import (read_json, read_matrix_csv, write_embedding_pair,
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
-from .synthgen import (GroundTruth, SimConfig, figure_item_order,
+from .synthgen import (SAMPLER, GroundTruth, SimConfig, figure_item_order,
                        sample_interactions)
 
 EXIT_OK = 0
@@ -50,7 +50,8 @@ DEFAULT_PLAN = [
 DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": 50}
 
 # Written next to X.csv by the step that simulated it: the resolved sim
-# config X was drawn from. X.csv is reused only when this record matches.
+# config X was drawn from, and the sampler that drew it. X.csv is reused
+# only when this record matches.
 SIM_RECORD = "X.sim.json"
 
 # `similarity --kind user-user` refuses larger n: its n x n float64 matrix
@@ -122,8 +123,12 @@ def _simulate(out: Path, sim_cfg: SimConfig):
     out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "X.csv", sample.rows)
     write_json(out / "ground_truth.json", gt.to_dict())
-    write_json(out / SIM_RECORD, sim_cfg.to_dict())
+    write_json(out / SIM_RECORD, _sim_record(sim_cfg))
     return sample.rows, gt
+
+
+def _sim_record(sim_cfg: SimConfig) -> dict:
+    return {**sim_cfg.to_dict(), "sampler": SAMPLER}
 
 
 def _load_or_simulate(out: Path, sim_cfg: SimConfig):
@@ -140,7 +145,8 @@ def _load_or_simulate(out: Path, sim_cfg: SimConfig):
     if not isinstance(recorded, dict):
         recorded = {}
     diff = ", ".join(f"{k} {recorded.get(k)!r} there, {v!r} here"
-                     for k, v in sim_cfg.to_dict().items() if recorded.get(k) != v)
+                     for k, v in _sim_record(sim_cfg).items()
+                     if recorded.get(k) != v)
     if diff:
         raise ConfigError("sim", f"{x_path} was not simulated from this config "
                                  f"({diff}); use another --out or rerun simulate")

@@ -24,6 +24,7 @@ class ConfigError(ValueError):
 
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}")
 
 

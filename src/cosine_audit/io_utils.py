@@ -43,10 +43,13 @@ def _kernel_tables() -> dict:
     group_tz = sum((g % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
 
     # heads[(sign * 21 + d + 4) * 10 + first digit]: the text of a value
-    # with decimal exponent d up to its first digit, right-aligned in 8
-    # bytes of "." fill. When d >= 0, shift[d] moves the first d + 1 digits
-    # left over the fill byte before them and puts a "." after them.
-    heads = ["-" * sign + ("0." + "0" * (-d - 1) if d < 0 else ".") + str(first)
+    # with decimal exponent d up to its first digit (and its "." when
+    # d = 0), right-aligned in 8 bytes of "." fill. When d >= 1, shift[d]
+    # moves the first d + 1 digits left over the fill byte before them and
+    # puts a "." after them.
+    heads = ["-" * sign + ("0." + "0" * (-d - 1) + str(first) if d < 0
+                           else str(first) + "." if d == 0
+                           else "." + str(first))
              for sign in (0, 1) for d in range(-4, 17) for first in range(10)]
     col = np.arange(_CELL)
     shift = np.tile(col, (17, 1))
@@ -131,7 +134,7 @@ def _csv_block(block: np.ndarray) -> bytes:
     for col, grp in enumerate((g1, g2, g3, g4), start=2):
         words[:, col] = np.take(t["group"], grp)
     text = cells.view(np.uint8)
-    wide = np.flatnonzero(d >= 0)
+    wide = np.flatnonzero(d >= 1)
     if wide.size:
         text[wide] = np.take_along_axis(text[wide], t["shift"][d[wide]], axis=1)
 

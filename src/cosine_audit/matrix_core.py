@@ -86,7 +86,7 @@ class BinaryRows:
             within = np.arange(k.sum()) - np.repeat(first[a:b] - first[a], k)
             pairs = np.repeat(self.indices[a:b] * p, k)
             pairs += self.indices[np.repeat(row_start[a:b], k) + within]
-            counts += np.bincount(pairs, minlength=p * p)
+            np.add.at(counts, pairs, 1)
         return counts.reshape(p, p).astype(np.float64)
 
 

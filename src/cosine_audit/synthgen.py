@@ -2,12 +2,15 @@
 
 Items belong to one of C clusters; each cluster gets a power-law popularity
 profile, users get Dirichlet cluster preferences, and each user samples a
-power-law-distributed number of items without replacement.
+power-law-distributed number of items without replacement, by exact
+successive sampling (`sample_interactions`).
 
 Determinism contract: all randomness flows from a single 64-bit seed through
 named child streams spawned in a fixed order
-(clusters -> exponents -> popularities -> prefs -> activity -> picks),
-so identical configs reproduce bit-identical outputs.
+(clusters -> exponents -> popularities -> prefs -> activity -> picks ->
+completion), so identical configs reproduce bit-identical outputs. The
+sampler named by SAMPLER replaced a Gumbel top-k over every user and item:
+the ground truth of a seed is unchanged, its X is not.
 """
 
 from __future__ import annotations
@@ -21,10 +24,16 @@ from .matrix_core import BinaryRows
 
 MIN_ITEMS_PER_USER = 5
 DIRICHLET_CONCENTRATION = 0.5
-# users per block of sample_interactions' weight and Gumbel-key arrays
+# users per block of sample_interactions' draws
 _USER_BLOCK = 1_000
+# names the sampler in each simulation record: an X drawn by another
+# sampler is not reused
+SAMPLER = "successive-sampling"
 
-_STREAMS = ("clusters", "exponents", "popularities", "prefs", "activity", "picks")
+# SeedSequence.spawn gives the same first children whatever their number,
+# so a stream added at the end leaves the others unchanged
+_STREAMS = ("clusters", "exponents", "popularities", "prefs", "activity",
+            "picks", "completion")
 
 # the JSON type of each key of the config's "sim" section
 SIM_KEYS = {"n": "an integer", "p": "an integer", "C": "an integer",
@@ -51,8 +60,12 @@ class SimConfig:
             raise ConfigError("p", "must be >= 1")
         if self.C < 1:
             raise ConfigError("C", "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+        # sample_interactions keys the item j of user u as u * p + j, an int64
+        if self.n * self.p >= 2 ** 63:
+            raise ConfigError("n", f"n * p = {self.n * self.p} must be below "
+                                   "2**63, the range of the sampler's keys")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed", "must be >= 0 and below 2**64")
         probs = np.asarray(self.cluster_probs, dtype=np.float64)
         if probs.shape != (self.C,):
             raise ConfigError("cluster_probs", f"must have length C={self.C}")
@@ -75,11 +88,14 @@ class SimConfig:
         """The SimConfig the `sim` section `raw` describes; every key of
         SIM_KEYS is required."""
         check_section(raw, "sim", SIM_KEYS, required=SIM_KEYS)
-        return cls(n=raw["n"], p=raw["p"], C=raw["C"],
-                   cluster_probs=tuple(map(float, raw["cluster_probs"])),
-                   beta_item_min=float(raw["beta_item_min"]),
-                   beta_item_max=float(raw["beta_item_max"]),
-                   beta_user=float(raw["beta_user"]), seed=raw["seed"])
+        try:
+            return cls(n=raw["n"], p=raw["p"], C=raw["C"],
+                       cluster_probs=tuple(map(float, raw["cluster_probs"])),
+                       beta_item_min=float(raw["beta_item_min"]),
+                       beta_item_max=float(raw["beta_item_max"]),
+                       beta_user=float(raw["beta_user"]), seed=raw["seed"])
+        except ConfigError as e:  # name the key by its path, as check_section does
+            raise ConfigError(f"sim.{e.key}", e.message) from None
 
     def to_dict(self) -> dict:
         return {
@@ -184,48 +200,119 @@ def _items_per_user(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return np.clip(k, k_min, k_max).astype(np.int64)
 
 
+def _cluster_tables(gt: GroundTruth, C: int):
+    """The items grouped by cluster, ascending within each; each cluster's
+    [start, end) in that order; the cumulative popularity of each cluster's
+    items, restarting at its first item; and each cluster's total."""
+    order = np.argsort(gt.item_cluster, kind="stable")
+    ends = np.cumsum(np.bincount(gt.item_cluster, minlength=C))
+    starts = np.concatenate(([0], ends[:-1]))
+    cum_pop = np.empty(order.shape[0])
+    for c in range(C):
+        seg = slice(starts[c], ends[c])
+        cum_pop[seg] = np.cumsum(gt.item_popularity[order[seg]])
+    totals = np.where(ends > starts, cum_pop[ends - 1], 0.0)
+    return order, starts, ends, cum_pop, totals
+
+
+def _first_above(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """For each i, the first j in [lo[i], hi[i]) with cum[j] > x[i], found by
+    bisection: searchsorted(side="right") on each row's own range of cum.
+    cum must be nondecreasing on each range and exceed x at its end."""
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        right = cum[mid] <= x
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
 def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTruth]:
+    """X and its ground truth: each user u picks k_u distinct items, with
+    the successive-sampling law of the weights prefs[u, cluster] * popularity
+    (each next item drawn with probability proportional to its weight among
+    the items not yet picked). Zero-weight items are never picked, and k_u
+    is clipped to the user's positive-weight items.
+
+    The first k distinct items of an i.i.d. sequence drawn by weight have
+    exactly that law. Each user takes 2 k_u uniforms from the picks stream
+    and maps each to an item in two steps: a cluster c with probability
+    proportional to prefs[u, c] * (c's total popularity), then an item of c
+    by its cumulative popularity. A user whose draws hold fewer than k_u
+    distinct items finishes with a Gumbel top-k over its remaining items,
+    the exact conditional law, drawing p keys from the completion stream.
+    The cost is O(k_u log p) per user, and O(p) for such a user only.
+    """
     gt = sample_ground_truth(config)
     rng = _streams(config.seed)
     k_u = _items_per_user(config, rng["activity"])
-
-    # Weighted sampling without replacement via Gumbel top-k: adding i.i.d.
-    # Gumbel noise to log-weights and keeping the k largest keys draws k
-    # distinct items with the sequential-renormalization probabilities.
-    # Users go in blocks so no n x p temporary exists; a (B, p) Gumbel draw
-    # is the same stream as B draws of size p. Each block takes the top k of
-    # all its users with the same k in one argpartition.
-    picks_rng = rng["picks"]
-    # reused by every block: a fresh array of this size would be
-    # page-faulted in anew each time
-    keys_buf = np.empty((min(config.n, _USER_BLOCK), config.p))
-    group_buf = np.empty_like(keys_buf)
-    indptr = np.zeros(config.n + 1, dtype=np.int64)
+    n, p, C = config.n, config.p, config.C
+    order, starts, ends, cum_pop, totals = _cluster_tables(gt, C)
+    pop = gt.item_popularity[order]
     blocks = []
-    for lo in range(0, config.n, _USER_BLOCK):
+    for lo in range(0, n, _USER_BLOCK):
         prefs = gt.user_prefs[lo:lo + _USER_BLOCK]
-        keys = np.take(prefs, gt.item_cluster, axis=1,
-                       out=keys_buf[:prefs.shape[0]])
-        keys *= gt.item_popularity
-        k_b = np.minimum(k_u[lo:lo + _USER_BLOCK],
-                         np.count_nonzero(keys > 0, axis=1))
-        k_u[lo:lo + _USER_BLOCK] = k_b
-        with np.errstate(divide="ignore"):
-            np.log(keys, out=keys)
-        keys += picks_rng.gumbel(size=keys.shape)
-        starts = np.concatenate(([0], np.cumsum(k_b)))
-        picks = np.empty(starts[-1], dtype=np.int64)
-        for k in np.unique(k_b[k_b > 0]).tolist():
-            users = np.flatnonzero(k_b == k)
-            group = np.take(keys, users, axis=0, out=group_buf[:users.size])
-            top = np.argpartition(group, -k, axis=1)[:, -k:]
-            top.sort(axis=1)
-            picks[starts[users][:, None] + np.arange(k)] = top
-        blocks.append(picks)
+        k_b = k_u[lo:lo + _USER_BLOCK]  # a view: clipping writes to k_u
+        cum_w = np.cumsum(prefs * totals, axis=1)
+        total = cum_w[:, -1]
+        user = np.repeat(np.arange(k_b.shape[0]), 2 * k_b)
+        u = rng["picks"].random(user.shape[0])
+        live = (np.isfinite(total) & (total > 0))[user]
+        user, u = user[live], u[live]
+        # u * total may round up to total; the double below it falls in the
+        # last cluster, and then the last item, of positive width
+        x = np.minimum(u * total[user], np.nextafter(total[user], 0))
+        c = _first_above(cum_w.ravel(), user * C, user * C + C, x) - user * C
+        base = np.where(c > 0, cum_w[user, c - 1], 0.0)
+        a = prefs[user, c]
+        r = np.minimum((x - base) / a, np.nextafter(totals[c], 0))
+        j = _first_above(cum_pop, starts[c], ends[c], r)
+        valid = a * pop[j] > 0  # the weight, as user_item_probabilities has it
+        user = user[valid]
+        keys = (lo + user) * p + order[j[valid]]
+
+        # each user's first k_u distinct items, in draw order
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        owner = user[first]
+        got = np.bincount(owner, minlength=k_b.shape[0])
+        rank = np.arange(first.shape[0]) - (np.cumsum(got) - got)[owner]
+        chosen = keys[first[rank < k_b[owner]]]
+        short = np.flatnonzero(got < k_b)
+        if short.size:
+            chosen = np.concatenate((chosen, _complete(
+                gt, lo, short, got[short], k_b, chosen, rng["completion"])))
+        blocks.append(np.sort(chosen) % p)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(k_u, out=indptr[1:])
     rows = BinaryRows(indptr=indptr, indices=np.concatenate(blocks),
-                      shape=(config.n, config.p))
+                      shape=(n, p))
     return InteractionSample(rows=rows, items_per_user=k_u), gt
+
+
+def _complete(gt: GroundTruth, lo: int, short: np.ndarray, got: np.ndarray,
+              k_b: np.ndarray, chosen: np.ndarray,
+              rng: np.random.Generator) -> np.ndarray:
+    """The keys u * p + j of the items that finish the short users of the
+    block starting at user lo (block rows `short`, holding `got` of the
+    block's `chosen` keys): a Gumbel top-(k_u - got) over each one's
+    positive-weight items not yet chosen. Clips k_b to what they hold."""
+    p = gt.item_popularity.shape[0]
+    w = gt.user_prefs[lo + short][:, gt.item_cluster] * gt.item_popularity
+    row = np.full(k_b.shape[0], -1)
+    row[short] = np.arange(short.shape[0])
+    owner = row[chosen // p - lo]
+    mine = owner >= 0
+    w[owner[mine], chosen[mine] % p] = 0.0
+    need = np.minimum(k_b[short] - got, np.count_nonzero(w > 0, axis=1))
+    k_b[short] = got + need
+    with np.errstate(divide="ignore"):
+        keys = np.log(w)
+    keys += rng.gumbel(size=keys.shape)
+    top = np.argsort(-keys, axis=1, kind="stable")
+    take = np.arange(p) < need[:, None]
+    return ((lo + short)[:, None] * p + top)[take]
 
 
 def ground_truth_similarity(gt: GroundTruth) -> np.ndarray:

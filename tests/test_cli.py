@@ -11,7 +11,7 @@ from cosine_audit.matrix_core import spectrum
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
 from cosine_audit.remedies import standardize
 from cosine_audit.similarity import user_item
-from cosine_audit.synthgen import SimConfig, sample_interactions
+from cosine_audit.synthgen import SAMPLER, SimConfig, sample_interactions
 
 SIM = {"n": 120, "p": 30, "C": 3, "cluster_probs": [0.4, 0.3, 0.3],
        "beta_item_min": 0.25, "beta_item_max": 1.5, "beta_user": 0.5,
@@ -215,8 +215,16 @@ class TestStrictConfig:
         ({"sim": SIM, "output": {"dirr": "zz"}}, [], "output.dirr"),
         ({"sim": SIM, "output": "x"}, [], "output"),
         ({"sim": SIM, "output": {"dir": 5}}, [], "output.dir"),
-        ({"sim": dict(SIM, seed=-1)}, [], "seed"),
-        ({"sim": SIM}, ["--seed", "-3"], "seed"),
+        ({"sim": dict(SIM, seed=-1)}, [], "sim.seed"),
+        ({"sim": SIM}, ["--seed", "-3"], "sim.seed"),
+        ({"sim": dict(SIM, seed=2 ** 64)}, [], "sim.seed"),
+        ({"sim": SIM}, ["--seed", str(2 ** 64)], "sim.seed"),
+        ({"sim": dict(SIM, n=10 ** 20)}, [], "sim.n"),
+        ({"sim": dict(SIM, n=2 ** 62, p=2)}, [], "sim.n"),
+        ({"sim": dict(SIM, n=0)}, [], "sim.n"),
+        ({"sim": dict(SIM, cluster_probs=[0.5, 0.5])}, [],
+         "sim.cluster_probs"),
+        ({"sim": dict(SIM, beta_item_min=2.0)}, [], "sim.beta_item_min"),
         ({"sim": SIM, "plan": [{"objective": 1, "lambda": 1.0}]}, [],
          "plan[0].rank"),
         ({"sim": SIM, "plan": [{"objective": 1, "lambda": 1.0,
@@ -224,7 +232,9 @@ class TestStrictConfig:
     ], ids=["simm", "plann", "n_float", "n_integral_float", "seed_bool",
             "C_string", "probs_bools", "seeed", "sim_list", "output_dirr",
             "output_string", "output_dir_int", "seed_negative",
-            "seed_flag_negative", "plan_missing_rank", "plan_float_rank"])
+            "seed_flag_negative", "seed_2_64", "seed_flag_2_64", "n_10_20",
+            "np_2_63", "n_zero", "probs_short", "beta_min_above_max",
+            "plan_missing_rank", "plan_float_rank"])
     def test_exit_2_naming_the_key_writing_nothing(
             self, tmp_path, monkeypatch, capsys, command, cfg, flags, key):
         cwd, out = tmp_path / "cwd", tmp_path / "out"
@@ -385,6 +395,24 @@ class TestAudit:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         (out / "X.sim.json").unlink()
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("sampler", [None, "gumbel-top-k"])
+    def test_x_from_another_sampler_refused(self, tmp_path, capsys, sampler):
+        # an X.csv drawn by another sampler differs from a fresh run's
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "X.sim.json").read_text())
+        assert record["sampler"] == SAMPLER
+        if sampler is None:
+            del record["sampler"]
+        else:
+            record["sampler"] = sampler
+        (out / "X.sim.json").write_text(json.dumps(record))
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"sampler {sampler!r} there, {SAMPLER!r} here" in err
+        assert not (out / "report.json").exists()
 
     def test_reuses_x_from_simulate_and_records_seed(self, tmp_path):
         cfg = write_config(tmp_path, {"plan": self.plan()})

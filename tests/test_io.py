@@ -138,6 +138,8 @@ def _edge_values():
     edges = [0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0),
              np.nextafter(1e-4, 1.0), 9.9999999999999995e-5,
              0.99999999999999989, 1.0000000000000002, 1e16 - 2, 1e16,
+             # decade 0, whose head carries its own ".": exact +-1 and [1, 10)
+             1.0, -1.0, 1.5, 9.999999999999998,
              # exact decimal ties at the 18th significant digit: half-even
              # keeps an even 17th digit and rounds an odd one up
              0.100002288818359375, 0.100009918212890625,

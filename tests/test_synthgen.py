@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,48 @@ from cosine_audit.synthgen import (GroundTruth, InteractionSample, SimConfig,
                                    ground_truth_similarity,
                                    sample_ground_truth, sample_interactions,
                                    user_item_probabilities)
+
+
+def _reference_sample(c: SimConfig):
+    """(dense X, k_u, users completed) drawn one user and one uniform at a
+    time with sample_interactions' stream layout: 2 k_u uniforms per user
+    from the picks stream, each mapped to a cluster and then to an item by
+    searchsorted; a user short of k_u distinct items takes p Gumbel keys
+    from the completion stream."""
+    gt = sample_ground_truth(c)
+    rng = _streams(c.seed)
+    k_u = _items_per_user(c, rng["activity"])
+    members = [np.flatnonzero(gt.item_cluster == cl) for cl in range(c.C)]
+    cum_pop = [np.cumsum(gt.item_popularity[m]) for m in members]
+    totals = np.array([cp[-1] if cp.size else 0.0 for cp in cum_pop])
+    want = np.zeros((c.n, c.p))
+    completed = 0
+    for u in range(c.n):
+        prefs = gt.user_prefs[u]
+        cum_w = np.cumsum(prefs * totals)
+        total = cum_w[-1]
+        picked = []
+        for v in rng["picks"].random(2 * k_u[u]):
+            if len(picked) == k_u[u] or not (np.isfinite(total) and total > 0):
+                continue
+            x = min(v * total, np.nextafter(total, 0))
+            cl = np.searchsorted(cum_w, x, side="right")
+            base = cum_w[cl - 1] if cl > 0 else 0.0
+            r = min((x - base) / prefs[cl], np.nextafter(totals[cl], 0))
+            item = members[cl][np.searchsorted(cum_pop[cl], r, side="right")]
+            if prefs[cl] * gt.item_popularity[item] > 0 and item not in picked:
+                picked.append(item)
+        if len(picked) < k_u[u]:
+            completed += 1
+            w = prefs[gt.item_cluster] * gt.item_popularity
+            w[picked] = 0.0
+            with np.errstate(divide="ignore"):
+                keys = np.log(w) + rng["completion"].gumbel(size=c.p)
+            need = min(k_u[u] - len(picked), np.count_nonzero(w > 0))
+            picked.extend(np.argsort(-keys, kind="stable")[:need])
+            k_u[u] = len(picked)
+        want[u, picked] = 1.0
+    return want, k_u, completed
 
 
 def cfg(**kw):
@@ -164,23 +208,56 @@ class TestInteractions:
         s3, _ = sample_interactions(cfg(seed=100))
         assert not np.array_equal(s1.matrix, s3.matrix)
 
-    def test_blocked_draws_match_per_user_loop(self):
-        # 2 500 users: two full user blocks and a partial one
-        c = SimConfig.uniform_clusters(2_500, 60, 4, seed=7)
-        sample, gt = sample_interactions(c)
-        rng = _streams(c.seed)
-        k_u = _items_per_user(c, rng["activity"])
-        weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
-        want = np.zeros((c.n, c.p))
-        for u in range(c.n):
-            keys = np.log(weights[u]) + rng["picks"].gumbel(size=c.p)
-            k_u[u] = min(int(k_u[u]), int(np.count_nonzero(weights[u] > 0)))
-            want[u, np.argpartition(keys, -k_u[u])[-k_u[u]:]] = 1.0
+    def test_blocked_draws_match_per_user_reference(self):
+        # steep popularity with k_u at p/2 for most users sends some users
+        # through the completion stage; 2 500 users make two full blocks
+        # and a partial one
+        c = SimConfig(n=2_500, p=20, C=2, cluster_probs=(0.5, 0.5),
+                      beta_item_min=1.5, beta_item_max=3.0, beta_user=2.0,
+                      seed=7)
+        sample, _ = sample_interactions(c)
+        want, k_u, completed = _reference_sample(c)
+        assert completed >= 1
         assert np.array_equal(sample.matrix, want)
         assert np.array_equal(sample.items_per_user, k_u)
+
+    def test_rows_ascending(self):
+        sample, _ = sample_interactions(
+            SimConfig.uniform_clusters(2_500, 60, 4, seed=7))
         ptr, idx = sample.rows.indptr, sample.rows.indices
-        assert all(np.all(np.diff(idx[a:b]) > 0)  # ascending in each row
+        assert all(np.all(np.diff(idx[a:b]) > 0)
                    for a, b in zip(ptr[:-1], ptr[1:]))
+
+    def test_clipped_to_positive_weight_items(self):
+        # rank^-2000 underflows to 0 beyond each cluster's first item, and
+        # the third cluster is empty: a user has at most 2 positive-weight
+        # items, below every k_u
+        c = cfg(C=3, cluster_probs=(0.5, 0.5, 0.0), beta_item_min=2000.0,
+                beta_item_max=2000.0)
+        sample, gt = sample_interactions(c)
+        weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
+        positive = weights > 0
+        assert np.array_equal(sample.items_per_user, positive.sum(axis=1))
+        assert np.all(positive[sample.matrix == 1])
+
+    def test_inclusion_frequencies_match_successive_sampling(self):
+        # one cluster of p = 10 items, k_u = 5 for every user: each item's
+        # inclusion probability, summed over the ordered 5-sequences, against
+        # its frequency over 200 000 users
+        c = SimConfig(n=200_000, p=10, C=1, cluster_probs=(1.0,),
+                      beta_item_min=1.0, beta_item_max=1.0, seed=12)
+        sample, gt = sample_interactions(c)
+        assert np.all(sample.items_per_user == 5)
+        w = gt.item_popularity
+        seqs = np.array(list(itertools.permutations(range(c.p), 5)))
+        picked = np.cumsum(w[seqs], axis=1) - w[seqs]  # mass taken before
+        law = np.prod(w[seqs] / (w.sum() - picked), axis=1)
+        incl = np.array([law[np.any(seqs == j, axis=1)].sum()
+                         for j in range(c.p)])
+        assert incl.sum() == pytest.approx(5.0, abs=1e-12)
+        freq = sample.matrix.mean(axis=0)
+        z = (freq - incl) / np.sqrt(incl * (1 - incl) / c.n)
+        assert np.max(np.abs(z)) <= 5.0
 
     def test_popularity_monotone_in_expectation(self):
         # more popular items collect more interactions: Spearman correlation
