@@ -22,13 +22,13 @@ from . import __version__
 from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
                        solve_plan_entry)
 from .errors import ConfigError, check_section
-from .io_utils import (read_json, read_matrix_csv, write_embedding_pair,
-                       write_json, write_manifest, write_matrix_csv, write_pgm,
+from .io_utils import (read_json, write_embedding_pair, write_json,
+                       write_manifest, write_matrix_csv, write_pgm,
                        write_similarity)
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
-from .synthgen import (SAMPLER, GroundTruth, SimConfig, figure_item_order,
+from .synthgen import (SAMPLER, SimConfig, figure_item_order,
                        sample_interactions)
 
 EXIT_OK = 0
@@ -49,9 +49,10 @@ DEFAULT_PLAN = [
 # the solve section, read by solve, similarity and fullrank-check
 DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": 50}
 
-# Written next to X.csv by the step that simulated it: the resolved sim
-# config X was drawn from, and the sampler that drew it. X.csv is reused
-# only when this record matches.
+# Written by simulate next to its exports X.csv and ground_truth.json: the
+# resolved sim config X was drawn from, and the sampler that drew it. No
+# command reads those exports back; each draws X from its own config and
+# refuses a directory whose exports this record does not match.
 SIM_RECORD = "X.sim.json"
 
 # `similarity --kind user-user` refuses larger n: its n x n float64 matrix
@@ -118,46 +119,43 @@ def _resolve(args) -> Resolved:
                     out=Path(args.out or output.get("dir", ".")))
 
 
-def _simulate(out: Path, sim_cfg: SimConfig):
-    sample, gt = sample_interactions(sim_cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "X.csv", sample.rows)
-    write_json(out / "ground_truth.json", gt.to_dict())
-    write_json(out / SIM_RECORD, _sim_record(sim_cfg))
-    return sample.rows, gt
-
-
 def _sim_record(sim_cfg: SimConfig) -> dict:
     return {**sim_cfg.to_dict(), "sampler": SAMPLER}
 
 
-def _load_or_simulate(out: Path, sim_cfg: SimConfig):
-    """(X as `BinaryRows`, ground truth): reused from `out` when its
-    simulation record matches `sim_cfg`, simulated when absent."""
+def _draw(out: Path, sim_cfg: SimConfig):
+    """(X as `BinaryRows`, ground truth), drawn from `sim_cfg`; `out` is made
+    once the draw succeeds. An `out` holding an X.csv or ground_truth.json
+    whose record is missing or names another config is refused first: its
+    exports would sit beside outputs of another X."""
     x_path = out / "X.csv"
-    gt_path = out / "ground_truth.json"
-    if not (x_path.exists() and gt_path.exists()):
-        return _simulate(out, sim_cfg)
-    try:
-        recorded = read_json(out / SIM_RECORD)
-    except (OSError, ValueError):
-        recorded = None
-    if not isinstance(recorded, dict):
-        recorded = {}
-    diff = ", ".join(f"{k} {recorded.get(k)!r} there, {v!r} here"
-                     for k, v in _sim_record(sim_cfg).items()
-                     if recorded.get(k) != v)
-    if diff:
-        raise ConfigError("sim", f"{x_path} was not simulated from this config "
-                                 f"({diff}); use another --out or rerun simulate")
-    return (read_matrix_csv(x_path, binary=True),
-            GroundTruth.from_dict(read_json(gt_path)))
+    if x_path.exists() or (out / "ground_truth.json").exists():
+        try:
+            recorded = read_json(out / SIM_RECORD)
+        except (OSError, ValueError):
+            recorded = None
+        if not isinstance(recorded, dict):
+            recorded = {}
+        diff = ", ".join(f"{k} {recorded.get(k)!r} there, {v!r} here"
+                         for k, v in _sim_record(sim_cfg).items()
+                         if recorded.get(k) != v)
+        if diff:
+            raise ConfigError("sim", f"{x_path} was not simulated from this "
+                                     f"config ({diff}); use another --out or "
+                                     "rerun simulate")
+    sample, gt = sample_interactions(sim_cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    return sample.rows, gt
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     sim_cfg, out = cfg.sim, cfg.out
-    _simulate(out, sim_cfg)
+    sample, gt = sample_interactions(sim_cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix_csv(out / "X.csv", sample.rows)
+    write_json(out / "ground_truth.json", gt.to_dict())
+    write_json(out / SIM_RECORD, _sim_record(sim_cfg))
     write_manifest(out, sim_cfg.to_dict(), sim_cfg.seed, __version__)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
@@ -172,7 +170,7 @@ def _training_x(X, standardize_x: bool) -> np.ndarray:
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     entry, out = cfg.solve, cfg.out
-    X, _ = _load_or_simulate(out, cfg.sim)
+    X, _ = _draw(out, cfg.sim)
     pair = solve_plan_entry(_training_x(X, cfg.standardize), entry)
     pair_dir = out / f"pair_obj{entry.objective}"
     write_embedding_pair(pair_dir, pair)
@@ -190,7 +188,7 @@ def cmd_similarity(args) -> int:
     if args.kind == "user-user" and n > USER_USER_MAX_USERS:
         raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
                                   f"{n} > {USER_USER_MAX_USERS}")
-    X, _ = _load_or_simulate(out, cfg.sim)
+    X, _ = _draw(out, cfg.sim)
     X = _training_x(X, cfg.standardize)
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
@@ -205,7 +203,7 @@ def cmd_similarity(args) -> int:
 def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
-    X, gt = _load_or_simulate(out, sim_cfg)
+    X, gt = _draw(out, sim_cfg)
 
     written: list[Path] = []
 
@@ -261,7 +259,7 @@ def cmd_fullrank_check(args) -> int:
     n, p, out = cfg.sim.n, cfg.sim.p, cfg.out
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    X, _ = _load_or_simulate(out, cfg.sim)
+    X, _ = _draw(out, cfg.sim)
     audit = audit_full_rank(X.dense(), cfg.solve.lam)
     write_json(out / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
@@ -324,6 +322,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ValueError, ArithmeticError, np.linalg.LinAlgError, OSError) as e:
         print(f"compute error: {e}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as e:
+        print("compute error: out of memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
         return EXIT_COMPUTE
 
 

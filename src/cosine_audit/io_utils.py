@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
 from .matrix_core import BinaryRows, as_matrix
 from .mf_solvers import EmbeddingPair
 from .similarity import SimilarityMatrix
@@ -22,7 +21,7 @@ FLOAT_FMT = "%.17g"
 # Matrices are formatted this many rows at a time, so an export adds only
 # a few blocks' worth of memory to the caller's.
 _BLOCK_ROWS = 16
-# rows per block when writing or reading a 0/1 matrix as text
+# rows per block when writing a 0/1 matrix as text
 _BINARY_BLOCK_ROWS = 256
 # bytes per formatted CSV value: an 8-byte prefix (sign, "0.", leading
 # zeros, first digit), 16 more digits, the separator, padding
@@ -191,40 +190,9 @@ def write_matrix_csv(path, m) -> None:
             f.write(_csv_block(m[i:i + _BLOCK_ROWS]))
 
 
-def read_matrix_csv(path, binary: bool = False):
-    """The matrix in a CSV file; with binary=True, a 0/1 matrix as
-    `BinaryRows`, from a file laid out exactly as `write_matrix_csv` writes
-    one: each row one "0" or "1" per column between commas, then "\\n".
-    Any other layout raises ConfigError."""
-    if not binary:
-        return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
-    with open(path, "rb") as f:
-        width = len(f.readline())  # 2 bytes per column
-        if width < 2 or width % 2:
-            raise ConfigError(str(path), "not a 0/1 CSV matrix: empty, or its "
-                                         "first row is not 0s and 1s between "
-                                         "commas")
-        f.seek(0)
-        ones, lengths = [], []
-        while data := f.read(width * _BINARY_BLOCK_ROWS):
-            if len(data) % width:
-                raise ConfigError(str(path), "not a 0/1 CSV matrix: its rows "
-                                             "differ in length")
-            block = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-            digits = block[:, 0::2]
-            if not (np.all(block[:, 1:-1:2] == ord(","))
-                    and np.all(block[:, -1] == ord("\n"))
-                    and np.all((digits == ord("0")) | (digits == ord("1")))):
-                raise ConfigError(str(path), "not a 0/1 CSV matrix: each row "
-                                             'must be "0" or "1" per column '
-                                             'between commas, then "\\n"')
-            rows, cols = np.nonzero(digits == ord("1"))
-            ones.append(cols)
-            lengths.append(np.bincount(rows, minlength=block.shape[0]))
-    lengths = np.concatenate(lengths)
-    return BinaryRows(indptr=np.concatenate(([0], np.cumsum(lengths))),
-                      indices=np.concatenate(ones),
-                      shape=(lengths.shape[0], width // 2))
+def read_matrix_csv(path) -> np.ndarray:
+    """The float64 matrix in a CSV file."""
+    return as_matrix(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def write_json(path, obj) -> None:

@@ -26,8 +26,8 @@ MIN_ITEMS_PER_USER = 5
 DIRICHLET_CONCENTRATION = 0.5
 # users per block of sample_interactions' draws
 _USER_BLOCK = 1_000
-# names the sampler in each simulation record: an X drawn by another
-# sampler is not reused
+# names the sampler in each simulation record: a directory holding an X
+# drawn by another sampler is refused
 SAMPLER = "successive-sampling"
 
 # SeedSequence.spawn gives the same first children whatever their number,
@@ -121,15 +121,6 @@ class GroundTruth:
             "cluster_exponents": self.cluster_exponents.tolist(),
             "user_prefs": self.user_prefs.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GroundTruth":
-        return cls(
-            item_cluster=np.asarray(raw["item_cluster"], dtype=np.int64),
-            item_popularity=np.asarray(raw["item_popularity"], dtype=np.float64),
-            cluster_exponents=np.asarray(raw["cluster_exponents"], dtype=np.float64),
-            user_prefs=np.asarray(raw["user_prefs"], dtype=np.float64),
-        )
 
 
 @dataclass(frozen=True)

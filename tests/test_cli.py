@@ -95,7 +95,7 @@ class TestSolveAndSimilarity:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["similarity", "--config", str(cfg), "--out", str(out),
                      "--kind", "user-item"]) == 0
-        x = read_matrix_csv(out / "X.csv")
+        x = sample_interactions(SimConfig.from_dict(SIM))[0].matrix
         z, _, _ = standardize(x)
         solver = solve_objective1 if objective == 1 else solve_objective2
         want = solver(z, 5, 10.0)
@@ -142,7 +142,7 @@ class TestSolveAndSimilarity:
         def forbidden(*args, **kwargs):
             raise AssertionError("ran past the size guard")
 
-        for name in ("sample_interactions", "read_matrix_csv", "user_user"):
+        for name in ("sample_interactions", "user_user"):
             monkeypatch.setattr(cli, name, forbidden)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"sim": dict(SIM, n=USER_USER_MAX_USERS + 1)}))
@@ -150,7 +150,7 @@ class TestSolveAndSimilarity:
         assert main(["similarity", "--config", str(cfg), "--out", str(out),
                      "--kind", "user-user"]) == 2
         assert "user-user" in capsys.readouterr().err
-        assert not (out / "X.csv").exists()
+        assert not out.exists()
 
 
 class TestStrictEntries:
@@ -271,6 +271,21 @@ class TestStrictConfig:
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch,
+                                  command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+
+        monkeypatch.setattr(cli, "sample_interactions", exhausted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("compute error: out of memory: "
+                       "Unable to allocate 36.4 TiB for an array\n")
+        assert not out.exists()
+
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, {"output": {"dir": "from_config"}})
@@ -379,7 +394,7 @@ class TestAudit:
     def test_seed_flag_refuses_stale_x(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan": self.plan()})
         out = tmp_path / "out"
-        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         x_before = (out / "X.csv").read_bytes()
         assert main(["audit", "--config", str(cfg), "--out", str(out),
                      "--seed", "99"]) == 2
@@ -388,6 +403,7 @@ class TestAudit:
         assert (out / "X.csv").read_bytes() == x_before
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
+        assert not (out / "report.json").exists()
 
     def test_x_without_record_refused(self, tmp_path):
         cfg = write_config(tmp_path, {"plan": self.plan()})
@@ -395,6 +411,18 @@ class TestAudit:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         (out / "X.sim.json").unlink()
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("kept", ["X.csv", "ground_truth.json"])
+    def test_one_export_with_another_record_refused(self, tmp_path, kept):
+        # left beside a report of another seed, the export would mislabel it
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in {"X.csv", "ground_truth.json"} - {kept}:
+            (out / name).unlink()
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "99"]) == 2
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("sampler", [None, "gumbel-top-k"])
     def test_x_from_another_sampler_refused(self, tmp_path, capsys, sampler):
@@ -501,6 +529,38 @@ class TestFullrankCheck:
         cfg.write_text(json.dumps({"sim": wide}))
         assert main(["fullrank-check", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def tree(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("command", ["audit", "solve", "similarity",
+                                     "fullrank-check"])
+def test_exports_never_read_back(tmp_path, command):
+    # X is drawn from the config every time: simulate's X.csv and
+    # ground_truth.json are exports, so garbage there changes nothing
+    cfg = write_config(tmp_path, {
+        "solve": {"objective": 1, "lambda": 10.0, "rank": 5},
+        "plan": [{"objective": 1, "lambda": 100.0, "rank": 8},
+                 {"objective": 2, "lambda": 2.0, "rank": 8}]})
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    code = main([command, "--config", str(cfg), "--out", str(cold)])
+    assert main(["simulate", "--config", str(cfg), "--out", str(warm)]) == 0
+    exports = {"X.csv": b"\x00not,a\r\nmatrix\xff",
+               "ground_truth.json": b"{\"item_cluster\": [oops"}
+    for name, data in exports.items():
+        (warm / name).write_bytes(data)
+    simulated = tree(warm)
+    assert main([command, "--config", str(cfg), "--out", str(warm)]) == code
+    cold_files, warm_files = tree(cold), tree(warm)
+    assert cold_files
+    assert not {"X.csv", "ground_truth.json", cli.SIM_RECORD} & set(cold_files)
+    assert {name: warm_files[name] for name in cold_files} == cold_files
+    for name in set(warm_files) - set(cold_files):
+        assert warm_files[name] == simulated[name], name
 
 
 def test_simulate_and_audit_hold_no_dense_x(tmp_path):

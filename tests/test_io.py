@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cosine_audit.cli import main
-from cosine_audit.errors import ConfigError
 from cosine_audit.io_utils import (config_hash, read_embedding_pair,
                                    read_matrix_csv, write_embedding_pair,
                                    write_matrix_csv, write_pgm,
                                    write_similarity)
 from cosine_audit.mf_solvers import solve_objective1
 from cosine_audit.similarity import SimilarityMatrix
-from cosine_audit.synthgen import (GroundTruth, SimConfig, figure_item_order,
+from cosine_audit.synthgen import (SimConfig, figure_item_order,
                                    ground_truth_similarity,
                                    sample_interactions)
 
@@ -38,52 +37,6 @@ def test_binary_rows_csv_round_trip(tmp_path):
     path = tmp_path / "X.csv"
     write_matrix_csv(path, sample.rows)
     assert path.read_bytes() == per_element_csv(sample.matrix)
-    back = read_matrix_csv(path, binary=True)
-    assert back.shape == (600, 80)
-    assert np.array_equal(back.indptr, sample.rows.indptr)
-    assert np.array_equal(back.indices, sample.rows.indices)
-
-
-BAD_BINARY_CSV = {
-    "crlf": b"0,1\r\n1,0\r\n",
-    "digit_2": b"0,1\n2,0\n",
-    "ragged_short": b"0,1,1\n1,0\n0,0,1\n",
-    "ragged_long": b"0,1\n1,0,1\n",
-    "no_final_newline": b"0,1\n1,0",
-    "empty": b"",
-    "blank_line": b"\n",
-    "semicolon": b"0;1\n",
-    "float_text": b"1.0,0\n",
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_BINARY_CSV))
-def test_binary_reader_rejects_other_layouts(tmp_path, name):
-    path = tmp_path / "X.csv"
-    path.write_bytes(BAD_BINARY_CSV[name])
-    with pytest.raises(ConfigError):
-        read_matrix_csv(path, binary=True)
-
-
-@pytest.mark.parametrize("damage", ["crlf", "digit_2", "ragged", "empty"])
-def test_audit_refuses_malformed_x_csv_with_exit_2(tmp_path, capsys, damage):
-    sim = {"n": 40, "p": 12, "C": 2, "cluster_probs": [0.5, 0.5],
-           "beta_item_min": 0.25, "beta_item_max": 1.5, "beta_user": 0.5,
-           "seed": 3}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"sim": sim, "plan": [
-        {"objective": 1, "lambda": 1.0, "rank": 3}]}))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    x = out / "X.csv"
-    data = x.read_bytes()
-    x.write_bytes({"crlf": data.replace(b"\n", b"\r\n"),
-                   "digit_2": data.replace(b"1", b"2", 1),
-                   "ragged": data.replace(b"\n", b",0\n", 1),
-                   "empty": b""}[damage])
-    assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "X.csv" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
 
 
 def test_matrix_csv_single_row(tmp_path):
@@ -256,6 +209,7 @@ def test_audit_exports_match_reference_writers(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"sim": sim, "plan": plan}))
     out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
     csvs = sorted(out.glob("similarity_*.csv"))
     assert len(csvs) == 4
@@ -271,8 +225,12 @@ def test_audit_exports_match_reference_writers(tmp_path):
 
 def test_figure_config_audit(tmp_path):
     out = tmp_path / "out"
+    assert main(["simulate", "--config", str(FIGURE_CONFIG), "--out", str(out)]) == 0
     assert main(["audit", "--config", str(FIGURE_CONFIG), "--out", str(out)]) == 0
-    gt = GroundTruth.from_dict(json.loads((out / "ground_truth.json").read_text()))
+    # the ground truth simulate exports is the one audit draws
+    _, gt = sample_interactions(SimConfig.from_dict(
+        json.loads(FIGURE_CONFIG.read_text())["sim"]))
+    assert json.loads((out / "ground_truth.json").read_text()) == gt.to_dict()
     order = figure_item_order(gt)
     truth = ground_truth_similarity(gt)[order][:, order]
     assert (out / "ground_truth.pgm").read_bytes() == per_element_pgm(truth, 0.0, 1.0)
