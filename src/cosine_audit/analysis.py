@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ZeroRowError
+from .errors import ConfigError, ZeroRowError
 from .matrix_core import Spectrum, as_matrix, normalize_rows, spectrum, zero_rows
 from .mf_solvers import (EmbeddingPair, predicted_scores, solve_objective1,
                          solve_objective2)
@@ -201,14 +201,18 @@ class PlanEntry:
 
     def __post_init__(self):
         if self.objective not in (1, 2):
-            raise ValueError("objective must be 1 or 2")
+            raise ConfigError("objective", "must be 1 or 2")
         if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+            raise ConfigError("lambda", f"must be finite and >= 0, got {self.lam}")
         if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+            raise ConfigError("rank", f"must be >= 1, got {self.rank}")
         if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {', '.join(FAMILIES)}, "
-                             f"got {self.family!r}")
+            raise ConfigError("family", f"must be one of {', '.join(FAMILIES)}, "
+                                        f"got {self.family!r}")
+        # the families are objective 1's gauge; objective 2's is only rotation
+        if self.objective == 2 and self.family != "identity":
+            raise ConfigError("family", "must be identity for objective 2, "
+                                        f"got {self.family!r}")
 
     def label(self) -> str:
         return f"obj{self.objective}_lam{self.lam:g}_k{self.rank}_{self.family}"

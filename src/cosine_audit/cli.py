@@ -83,13 +83,17 @@ class Resolved:
     out: Path
 
 
-def _entry(fields: dict, where: str) -> PlanEntry:
+def _entry(fields: dict, where: str, max_rank: int | None) -> PlanEntry:
     try:
-        return PlanEntry(objective=fields["objective"],
-                         lam=float(fields["lambda"]), rank=fields["rank"],
-                         family=fields.get("family", "identity"))
-    except ValueError as e:
-        raise ConfigError(where, str(e))
+        entry = PlanEntry(objective=fields["objective"],
+                          lam=float(fields["lambda"]), rank=fields["rank"],
+                          family=fields.get("family", "identity"))
+    except ConfigError as e:
+        raise ConfigError(f"{where}.{e.key}", e.message)
+    if max_rank is not None and entry.rank > max_rank:
+        raise ConfigError(f"{where}.rank", "must be at most min(sim.n, sim.p)"
+                                           f" = {max_rank}, got {entry.rank}")
+    return entry
 
 
 def _resolve(args) -> Resolved:
@@ -106,15 +110,21 @@ def _resolve(args) -> Resolved:
     sim = {**DEFAULT_SIM, **cfg.get("sim", {})}
     if args.seed is not None:
         sim["seed"] = args.seed
+    sim = SimConfig.from_dict(sim)
+    # a rank the file or a flag sets must fit X; a built-in default's is
+    # left to the subcommand that uses it
+    top = min(sim.n, sim.p)
     plan = [_entry(check_section(e, f"plan[{i}]", PLAN_KEYS,
-                                 required=ENTRY_KEYS), f"plan[{i}]")
+                                 required=ENTRY_KEYS), f"plan[{i}]",
+                   top if "plan" in cfg else None)
             for i, e in enumerate(cfg.get("plan", DEFAULT_PLAN))]
     solve = check_section(cfg.get("solve", {}), "solve", SOLVE_KEYS)
     flags = {k: v for k, v in vars(args).items()
              if k in ("objective", "lambda", "rank", "family") and v is not None}
     output = check_section(cfg.get("output", {}), "output", OUTPUT_KEYS)
-    return Resolved(sim=SimConfig.from_dict(sim), plan=plan,
-                    solve=_entry({**DEFAULT_SOLVE, **solve, **flags}, "solve"),
+    return Resolved(sim=sim, plan=plan,
+                    solve=_entry({**DEFAULT_SOLVE, **solve, **flags}, "solve",
+                                 top if "rank" in {**solve, **flags} else None),
                     standardize=solve.get("standardize", False),
                     out=Path(args.out or output.get("dir", ".")))
 

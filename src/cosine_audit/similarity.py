@@ -79,23 +79,25 @@ def user_item(X, pair: EmbeddingPair, metric: str = METRIC_COSINE,
     return _similarity(XA, pair.B, KIND_USER_ITEM, metric, on_zero)
 
 
-def _tie_groups(row: np.ndarray, tol: float) -> list[frozenset]:
-    """Ordered partition of column indices into descending tie groups.
+# rows per block of ranking_equal, so that no n x p array of tie ranks exists
+_ROW_BLOCK = 512
 
-    Consecutive sorted values closer than tol * max|row| are merged into one
-    group, so rows that differ by a positive factor get the same partition.
+
+def _tie_ranks(v: np.ndarray, tol: float) -> np.ndarray:
+    """Each entry's descending tie group within its row, counted from 0.
+
+    Sorted neighbours whose drop is at most tol * max|row| share a group,
+    so rows that differ by a positive factor get the same tie ranks.
     """
-    order = np.argsort(-row, kind="stable")
-    vals = row[order]
-    gap = tol * (float(np.abs(row).max()) if row.size else 0.0)
-    groups: list[frozenset] = []
-    start = 0
-    for i in range(1, len(order)):
-        if vals[i - 1] - vals[i] > gap:
-            groups.append(frozenset(order[start:i].tolist()))
-            start = i
-    groups.append(frozenset(order[start:].tolist()))
-    return groups
+    order = np.argsort(-v, axis=1, kind="stable")
+    vals = np.take_along_axis(v, order, axis=1)
+    gap = tol * np.abs(v).max(axis=1, initial=0.0, keepdims=True)
+    sorted_ranks = np.zeros(v.shape, dtype=np.intp)
+    np.cumsum(vals[:, :-1] - vals[:, 1:] > gap, axis=1,
+              out=sorted_ranks[:, 1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
 
 
 def ranking_equal(s1: SimilarityMatrix, s2: SimilarityMatrix,
@@ -103,12 +105,14 @@ def ranking_equal(s1: SimilarityMatrix, s2: SimilarityMatrix,
     """Per-row flags: does row u of s1 rank the columns the same as row u of s2?
 
     Entries within tol times the largest magnitude of their row count as
-    tied; tied groups must match as sets.
+    tied; two rows rank alike when every column has the same tie rank.
     """
     a, b = s1.values, s2.values
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     out = np.empty(a.shape[0], dtype=bool)
-    for u in range(a.shape[0]):
-        out[u] = _tie_groups(a[u], tol) == _tie_groups(b[u], tol)
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        out[rows] = np.all(_tie_ranks(a[rows], tol) == _tie_ranks(b[rows], tol),
+                           axis=1)
     return out

@@ -5,7 +5,7 @@ import cosine_audit.analysis as analysis
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
                                    cluster_contrast, compare_configurations,
                                    solve_plan_entry, _ground_truth_contrast)
-from cosine_audit.errors import ZeroRowError
+from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows, svd
 from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
 from cosine_audit.rescale import apply_scaling, named_scaling
@@ -147,6 +147,17 @@ class TestCompareConfigurations:
     def test_invalid_entry_rejected(self, lam, rank):
         with pytest.raises(ValueError):
             PlanEntry(1, lam, rank)
+
+    @pytest.mark.parametrize("fields, key", [
+        ((3, 1.0, 10), "objective"), ((1, -5.0, 10), "lambda"),
+        ((1, 1.0, 0), "rank"), ((1, 1.0, 10, "bogus"), "family"),
+        ((2, 1.0, 10, "collapse"), "family"),
+        ((2, 1.0, 10, "inverse"), "family"),
+        ((2, 1.0, 10, "symmetric-matching"), "family")])
+    def test_invalid_entry_names_its_key(self, fields, key):
+        with pytest.raises(ConfigError) as e:
+            PlanEntry(*fields)
+        assert e.value.key == key
 
     def test_families_change_contrast(self, desk_data):
         x, gt = desk_data

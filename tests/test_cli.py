@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cosine_audit import cli
+from cosine_audit import analysis, cli
 from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.io_utils import read_matrix_csv
 from cosine_audit.matrix_core import spectrum
@@ -195,6 +195,7 @@ class TestStrictEntries:
 
 
 COMMANDS = ["simulate", "solve", "similarity", "audit", "fullrank-check"]
+ENTRY = {"objective": 1, "lambda": 1.0, "rank": 4}
 
 
 class TestStrictConfig:
@@ -229,12 +230,36 @@ class TestStrictConfig:
          "plan[0].rank"),
         ({"sim": SIM, "plan": [{"objective": 1, "lambda": 1.0,
                                 "rank": 4.0}]}, [], "plan[0].rank"),
+        ({"sim": SIM, "plan": [ENTRY, dict(ENTRY, rank=31)]}, [],
+         "plan[1].rank"),
+        ({"sim": dict(SIM, n=20), "plan": [dict(ENTRY, rank=21)]}, [],
+         "plan[0].rank"),
+        ({"sim": SIM, "solve": dict(ENTRY, rank=31)}, [], "solve.rank"),
+        ({"sim": SIM, "plan": [dict(ENTRY, rank=0)]}, [], "plan[0].rank"),
+        ({"sim": SIM, "solve": dict(ENTRY, rank=0)}, [], "solve.rank"),
+        ({"sim": SIM, "plan": [dict(ENTRY, objective=3)]}, [],
+         "plan[0].objective"),
+        ({"sim": SIM, "plan": [dict(ENTRY, **{"lambda": -1.0})]}, [],
+         "plan[0].lambda"),
+        ({"sim": SIM, "solve": dict(ENTRY, **{"lambda": -1.0})}, [],
+         "solve.lambda"),
+        ({"sim": SIM, "plan": [dict(ENTRY, family="bogus")]}, [],
+         "plan[0].family"),
+        ({"sim": SIM, "plan": [ENTRY, dict(ENTRY, objective=2,
+                                            family="collapse")]}, [],
+         "plan[1].family"),
+        ({"sim": SIM, "plan": [dict(ENTRY, objective=2, family="inverse")]},
+         [], "plan[0].family"),
     ], ids=["simm", "plann", "n_float", "n_integral_float", "seed_bool",
             "C_string", "probs_bools", "seeed", "sim_list", "output_dirr",
             "output_string", "output_dir_int", "seed_negative",
             "seed_flag_negative", "seed_2_64", "seed_flag_2_64", "n_10_20",
             "np_2_63", "n_zero", "probs_short", "beta_min_above_max",
-            "plan_missing_rank", "plan_float_rank"])
+            "plan_missing_rank", "plan_float_rank", "plan_rank_above_p",
+            "plan_rank_above_n", "solve_rank_above_p", "plan_rank_zero",
+            "solve_rank_zero", "plan_objective_3", "plan_lambda_negative",
+            "solve_lambda_negative", "plan_family_bogus",
+            "plan_objective_2_collapse", "plan_objective_2_inverse"])
     def test_exit_2_naming_the_key_writing_nothing(
             self, tmp_path, monkeypatch, capsys, command, cfg, flags, key):
         cwd, out = tmp_path / "cwd", tmp_path / "out"
@@ -250,6 +275,36 @@ class TestStrictConfig:
         assert "Traceback" not in err
         assert not out.exists()
         assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, key", [
+        (["solve", "--rank", "31"], "solve.rank"),
+        (["similarity", "--rank", "31"], "solve.rank"),
+        (["similarity", "--objective", "2", "--family", "inverse"],
+         "solve.family"),
+        (["similarity", "--objective", "2", "--family", "collapse"],
+         "solve.family"),
+        (["similarity", "--objective", "2", "--family",
+          "symmetric-matching"], "solve.family")],
+        ids=["solve_rank_above_p", "similarity_rank_above_p",
+             "objective_2_inverse", "objective_2_collapse",
+             "objective_2_symmetric_matching"])
+    def test_flag_value_exit_2_naming_the_key(self, tmp_path, monkeypatch,
+                                              capsys, argv, key):
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg = write_config(tmp_path, {"solve": ENTRY})
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "similarity"])
+    def test_rank_flag_overrides_a_rank_above_p(self, tmp_path, command):
+        cfg = write_config(tmp_path, {"solve": dict(ENTRY, rank=31)})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--rank", "30"]) == 0
 
     def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -454,26 +509,57 @@ class TestAudit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
 
-    def test_solver_failure_exit_3_and_cleanup(self, tmp_path):
-        plan = [{"objective": 1, "lambda": 1.0, "rank": 500,
+    @staticmethod
+    def fail_solves_at_rank(monkeypatch, failing_rank):
+        real = analysis.solve_objective1
+
+        def solve(X, rank, lam):
+            if rank == failing_rank:
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return real(X, rank, lam)
+
+        monkeypatch.setattr(analysis, "solve_objective1", solve)
+
+    def test_solver_failure_exit_3_and_cleanup(self, tmp_path, monkeypatch,
+                                               capsys):
+        self.fail_solves_at_rank(monkeypatch, 30)
+        plan = [{"objective": 1, "lambda": 1.0, "rank": 30,
                  "family": "identity"}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "compute error: eigenvalues did not converge" in (
+            capsys.readouterr().err)
         assert not (out / "report.json").exists()
         assert not list(out.glob("similarity_*"))
 
-
-    def test_failure_after_an_export_removes_it(self, tmp_path):
+    def test_failure_after_an_export_removes_it(self, tmp_path, monkeypatch):
+        self.fail_solves_at_rank(monkeypatch, 30)
         plan = [{"objective": 1, "lambda": 1.0, "rank": 4,
                  "family": "identity"},
-                {"objective": 1, "lambda": 1.0, "rank": 500,
+                {"objective": 1, "lambda": 1.0, "rank": 30,
                  "family": "identity"}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
         assert not (out / "report.json").exists()
         assert not list(out.glob("similarity_*"))
+
+    def test_rank_above_min_n_p_exit_2_before_drawing(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew X for a plan that cannot run")
+
+        monkeypatch.setattr(cli, "sample_interactions", forbidden)
+        plan = [{"objective": 1, "lambda": 1.0, "rank": 4},
+                {"objective": 1, "lambda": 1.0, "rank": 31}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: plan[1].rank: must be at most min(sim.n, sim.p) "
+            "= 30, got 31\n")
+        assert not out.exists()
 
     def test_failure_after_the_ground_truth_heatmap_removes_it(
             self, tmp_path, monkeypatch):

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cosine_audit import similarity
 from cosine_audit.errors import ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows
 from cosine_audit.mf_solvers import (EmbeddingPair, predicted_scores,
@@ -151,6 +156,55 @@ class TestObjective1Arbitrariness:
         assert dist > 0.1 * p
 
 
+def reference_tie_groups(row, tol):
+    """The tie rule, one row at a time: the ordered partition of the column
+    indices into descending tie groups, where sorted neighbours whose drop
+    is at most tol * max|row| share a group."""
+    order = np.argsort(-row, kind="stable")
+    vals = row[order]
+    gap = tol * (float(np.abs(row).max()) if row.size else 0.0)
+    groups, start = [], 0
+    for i in range(1, len(order)):
+        if vals[i - 1] - vals[i] > gap:
+            groups.append(frozenset(order[start:i].tolist()))
+            start = i
+    groups.append(frozenset(order[start:].tolist()))
+    return groups
+
+
+def reference_ranking_equal(a, b, tol):
+    return np.array([reference_tie_groups(a[u], tol)
+                     == reference_tie_groups(b[u], tol)
+                     for u in range(a.shape[0])], dtype=bool)
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """(a, b, tol): small integer-valued rows, so exact ties abound, and b
+    made from a row by row: copied, scaled by a positive factor, perturbed
+    next to the tie tolerance, zeroed, shuffled or drawn afresh."""
+    block = similarity._ROW_BLOCK
+    n = draw(st.one_of(st.integers(0, 8),
+                       st.sampled_from([block - 1, block, block + 1])))
+    p = draw(st.integers(1, 6))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(-3, 4, (n, p)).astype(float)
+    a[rng.random(n) < 0.1] = 0.0
+    b = a * rng.choice([0.25, 0.5, 1.0, 3.0, 7.0], (n, 1))
+    b[rng.random(n) < 0.1] = 0.0
+    shuffled = rng.random(n) < 0.15
+    b[shuffled] = rng.permuted(b[shuffled], axis=1)
+    fresh = rng.random(n) < 0.1
+    b[fresh] = rng.integers(-3, 4, (int(fresh.sum()), p))
+    for m in (a, b):
+        # nudge some entries by 0.5, 1 or 2 tolerances of their row
+        scale = tol * np.abs(m).max(axis=1, keepdims=True)
+        nudge = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], m.shape)
+        m += np.where(rng.random(m.shape) < 0.2, nudge * scale, 0.0)
+    return a, b, tol
+
+
 class TestRankingEqual:
     def _sim(self, values):
         return SimilarityMatrix(values=np.asarray(values, dtype=float),
@@ -186,6 +240,48 @@ class TestRankingEqual:
         a = self._sim([[4.0, 4.0 - 5e-9, 0.0]])
         b = self._sim([[4.0 - 5e-9, 4.0, 0.0]])
         assert not ranking_equal(a, b).any()
+
+    def test_drop_equal_to_tolerance_is_a_tie(self):
+        # tol * max|row| = 0.25 * 4 = 1 exactly, and so is the drop 4 - 3
+        a = self._sim([[4.0, 3.0, 0.0]])
+        b = self._sim([[3.0, 4.0, 0.0]])
+        assert ranking_equal(a, b, tol=0.25).all()
+        assert not ranking_equal(a, b, tol=0.2).any()
+
+    def test_tie_ranks_count_groups_from_the_largest(self):
+        v = np.array([[3.0, 1.0, 3.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        assert similarity._tie_ranks(v, 0.0).tolist() == [[0, 2, 0, 1],
+                                                          [0, 0, 0, 0]]
+
+    def test_empty_rows_and_columns(self):
+        assert ranking_equal(self._sim(np.ones((3, 0))),
+                             self._sim(np.ones((3, 0)))).tolist() == [True] * 3
+        assert ranking_equal(self._sim(np.ones((0, 4))),
+                             self._sim(np.ones((0, 4)))).shape == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_pairs())
+    def test_flags_match_the_per_row_tie_rule(self, case):
+        a, b, tol = case
+        want = reference_ranking_equal(a, b, tol)
+        got = ranking_equal(self._sim(a), self._sim(b), tol)
+        assert got.dtype == bool
+        assert got.tolist() == want.tolist()
+        assert ranking_equal(self._sim(b), self._sim(a), tol).tolist() == (
+            want.tolist())
+
+    def test_no_n_by_p_array(self):
+        n, p = 32 * similarity._ROW_BLOCK, 64
+        v = np.random.default_rng(2).standard_normal((n, p))
+        a, b = self._sim(v), self._sim(2.0 * v)
+        tracemalloc.start()
+        try:
+            flags = ranking_equal(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flags.all()
+        assert peak < n * p * np.dtype(np.intp).itemsize / 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
