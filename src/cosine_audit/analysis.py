@@ -120,13 +120,13 @@ def audit_full_rank(X, lam: float,
     (d) predicted scores are invariant across seeded random rescalings.
 
     Rank-deficient inputs drop the zero-sigma dimensions; (a) and (b) only
-    hold at full rank and are marked skipped in that case. `spec`, when
-    given, is the spectrum of X.
+    hold at full rank and are marked skipped in that case. X is a dense
+    matrix or `BinaryRows`; `spec`, when given, is its spectrum.
     """
-    X = as_matrix(X)
-    p = X.shape[1]
     if spec is None:
         spec = spectrum(X)
+    X = as_matrix(X)
+    p = X.shape[1]
     k = spec.rank
     zero_dims = p - k
     full_rank = k == p

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,15 +40,17 @@ EXIT_CHECK = 4
 # the paper's scale: five equally likely clusters, SimConfig's exponents
 DEFAULT_SIM = SimConfig.uniform_clusters(20_000, 1_000, 5).to_dict()
 
+# the rank of every built-in entry
+DEFAULT_RANK = 50
+
 DEFAULT_PLAN = [
-    {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "collapse"},
-    {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "identity"},
-    {"objective": 1, "lambda": 10_000.0, "rank": 50, "family": "inverse"},
-    {"objective": 2, "lambda": 100.0, "rank": 50, "family": "identity"},
-]
+    {"objective": 1, "lambda": 10_000.0, "rank": DEFAULT_RANK,
+     "family": family} for family in ("collapse", "identity", "inverse")
+] + [{"objective": 2, "lambda": 100.0, "rank": DEFAULT_RANK,
+      "family": "identity"}]
 
 # the solve section, read by solve, similarity and fullrank-check
-DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": 50}
+DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": DEFAULT_RANK}
 
 # Written by simulate next to its exports X.csv and ground_truth.json: the
 # resolved sim config X was drawn from, and the sampler that drew it. No
@@ -111,8 +114,7 @@ def _resolve(args) -> Resolved:
     if args.seed is not None:
         sim["seed"] = args.seed
     sim = SimConfig.from_dict(sim)
-    # a rank the file or a flag sets must fit X; a built-in default's is
-    # left to the subcommand that uses it
+    # a rank the file or a flag sets must fit X
     top = min(sim.n, sim.p)
     plan = [_entry(check_section(e, f"plan[{i}]", PLAN_KEYS,
                                  required=ENTRY_KEYS), f"plan[{i}]",
@@ -122,11 +124,31 @@ def _resolve(args) -> Resolved:
     flags = {k: v for k, v in vars(args).items()
              if k in ("objective", "lambda", "rank", "family") and v is not None}
     output = check_section(cfg.get("output", {}), "output", OUTPUT_KEYS)
-    return Resolved(sim=sim, plan=plan,
-                    solve=_entry({**DEFAULT_SOLVE, **solve, **flags}, "solve",
-                                 top if "rank" in {**solve, **flags} else None),
+    fields = {**solve, **flags}
+    solve_entry = _entry({**DEFAULT_SOLVE, **fields}, "solve",
+                         top if "rank" in fields else None)
+    # so must the built-in rank, in the subcommands that solve it: simulate
+    # and fullrank-check do not
+    if DEFAULT_RANK > top:
+        bound = f"{DEFAULT_RANK} is above min(sim.n, sim.p) = {top}"
+        if args.command == "audit" and "plan" not in cfg:
+            raise ConfigError("plan", f"not set, and the built-in plan's "
+                                      f"rank {bound}")
+        if args.command in ("solve", "similarity") and "rank" not in fields:
+            raise ConfigError("solve.rank", "not set by the file or --rank, "
+                                            f"and the built-in rank {bound}")
+    return Resolved(sim=sim, plan=plan, solve=solve_entry,
                     standardize=solve.get("standardize", False),
                     out=Path(args.out or output.get("dir", ".")))
+
+
+def _write_manifest(cfg: Resolved) -> None:
+    """manifest.json: the whole resolved config, flags applied, its hash,
+    the seed and the version. It holds no timings, so reruns match."""
+    config = {"sim": cfg.sim.to_dict(),
+              "plan": [e.to_dict() for e in cfg.plan],
+              "solve": {**cfg.solve.to_dict(), "standardize": cfg.standardize}}
+    write_manifest(cfg.out, config, cfg.sim.seed, __version__)
 
 
 def _sim_record(sim_cfg: SimConfig) -> dict:
@@ -166,28 +188,20 @@ def cmd_simulate(args) -> int:
     write_matrix_csv(out / "X.csv", sample.rows)
     write_json(out / "ground_truth.json", gt.to_dict())
     write_json(out / SIM_RECORD, _sim_record(sim_cfg))
-    write_manifest(out, sim_cfg.to_dict(), sim_cfg.seed, __version__)
+    _write_manifest(cfg)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
-
-
-def _training_x(X, standardize_x: bool) -> np.ndarray:
-    """The dense X an entry is solved on, standardized when asked."""
-    X = X.dense()
-    return standardize(X)[0] if standardize_x else X
 
 
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     entry, out = cfg.solve, cfg.out
     X, _ = _draw(out, cfg.sim)
-    pair = solve_plan_entry(_training_x(X, cfg.standardize), entry)
+    pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
+                            entry)
     pair_dir = out / f"pair_obj{entry.objective}"
     write_embedding_pair(pair_dir, pair)
-    solve = {"objective": entry.objective, "lambda": entry.lam,
-             "rank": entry.rank, "standardize": cfg.standardize}
-    write_manifest(out, {"sim": cfg.sim.to_dict(), "solve": solve},
-                   cfg.sim.seed, __version__)
+    _write_manifest(cfg)
     print(f"wrote embedding pair to {pair_dir}")
     return EXIT_OK
 
@@ -199,13 +213,14 @@ def cmd_similarity(args) -> int:
         raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
                                   f"{n} > {USER_USER_MAX_USERS}")
     X, _ = _draw(out, cfg.sim)
-    X = _training_x(X, cfg.standardize)
+    X = standardize(X)[0] if cfg.standardize else X
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
     name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
             f"_{entry.family}")
     write_similarity(out, name, sim, entry.to_dict())
+    _write_manifest(cfg)
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 
@@ -239,15 +254,13 @@ def cmd_audit(args) -> int:
         full_rank = None
         fr_entries = [e for e in plan if e.rank == p and e.objective == 1]
         if fr_entries:
-            full_rank = audit_full_rank(X.dense(), fr_entries[0].lam,
+            full_rank = audit_full_rank(X, fr_entries[0].lam,
                                         spec=report.spectrum)
         doc = report.to_dict()
         if full_rank is not None:
             doc["full_rank"] = full_rank.to_dict()
         write_json(out / "report.json", doc)
-        write_manifest(out, {"sim": sim_cfg.to_dict(),
-                             "plan": [e.to_dict() for e in plan]},
-                       sim_cfg.seed, __version__)
+        _write_manifest(cfg)
     except Exception:
         for f in written:
             f.unlink(missing_ok=True)
@@ -270,8 +283,9 @@ def cmd_fullrank_check(args) -> int:
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
     X, _ = _draw(out, cfg.sim)
-    audit = audit_full_rank(X.dense(), cfg.solve.lam)
+    audit = audit_full_rank(X, cfg.solve.lam)
     write_json(out / "fullrank_report.json", audit.to_dict())
+    _write_manifest(cfg)
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))
         print(f"identity check failed: {first.name} "
@@ -323,20 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError, OSError) as e:
-        print(f"compute error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except MemoryError as e:
-        print("compute error: out of memory" + (f": {e}" if str(e) else ""),
-              file=sys.stderr)
-        return EXIT_COMPUTE
+    with warnings.catch_warnings():
+        # one structured line per warning, without its source line
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ValueError, ArithmeticError, np.linalg.LinAlgError,
+                OSError) as e:
+            print(f"compute error: {e}", file=sys.stderr)
+            return EXIT_COMPUTE
+        except MemoryError as e:
+            print("compute error: out of memory"
+                  + (f": {e}" if str(e) else ""), file=sys.stderr)
+            return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

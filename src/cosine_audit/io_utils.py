@@ -285,4 +285,5 @@ def write_manifest(out_dir, config: dict, seed: int, version: str) -> None:
         "config_sha256": config_hash(config),
         "seed": seed,
         "version": version,
+        "config": config,
     })

@@ -2,10 +2,12 @@
 SVD, row normalization, cosine of rows.
 
 Matrices are plain float64 numpy arrays, except a 0/1 interaction matrix,
-which `BinaryRows` holds as the column indices of its ones. Tolerance
-conventions used throughout the package: 1e-12 for exact algebraic
-identities on small matrices, 1e-8 for orthonormality, 1e-6 for identities
-that flow through a full SVD at desk scale.
+which `BinaryRows` holds as the column indices of its ones: `spectrum`
+counts its Gram from those indices, and `as_matrix` densifies it where its
+rows are multiplied. Tolerance conventions used throughout the package:
+1e-12 for exact algebraic identities on small matrices, 1e-8 for
+orthonormality, 1e-6 for identities that flow through a full SVD at desk
+scale.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ class BinaryRows:
         out[np.repeat(np.arange(hi - lo), lengths),
             self.indices[self.indptr[lo]:self.indptr[hi]]] = 1
         return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense(dtype=np.float64 if dtype is None else dtype)
 
     def gram(self) -> np.ndarray:
         """X^T X as float64: entry (i, j) counts the rows holding both i and j.

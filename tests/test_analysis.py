@@ -22,6 +22,13 @@ def desk_data():
     return sample.matrix, gt
 
 
+@pytest.fixture(scope="module")
+def desk_rows():
+    """desk_data's X as BinaryRows."""
+    cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)
+    return sample_interactions(cfg)[0].rows
+
+
 def item_sim(values, excluded=()):
     return SimilarityMatrix(values=np.asarray(values, dtype=float),
                             kind="item-item", metric="cosine",
@@ -126,6 +133,12 @@ class TestAuditFullRank:
         assert dev["user_user_inverse_matches_raw_data"] == pytest.approx(
             dense, abs=1e-12)
         assert dev["user_user_inverse_matches_raw_data"] <= 1e-6
+
+    def test_binary_rows_give_the_dense_audit(self, desk_rows):
+        audit = audit_full_rank(desk_rows, 100.0)
+        assert not any(c.skipped for c in audit.checks)
+        assert audit.to_dict() == audit_full_rank(desk_rows.dense(),
+                                                  100.0).to_dict()
 
     def test_zero_user_row_raises(self, dense_x):
         x = dense_x.copy()
@@ -274,6 +287,16 @@ class TestCompareConfigurations:
         assert rows.to_dict() == dense.to_dict()
         for a, b in zip(rows.results, dense.results):
             assert np.array_equal(a.similarity.values, b.similarity.values)
+
+    @pytest.mark.parametrize("entry", [
+        PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(1, 100.0, 80, "collapse"),
+        PlanEntry(2, 5.0, 10)])
+    def test_binary_rows_solve_as_dense(self, desk_rows, entry):
+        rows = solve_plan_entry(desk_rows, entry)
+        dense = solve_plan_entry(desk_rows.dense(), entry)
+        for a, b in ((rows.A, dense.A), (rows.B, dense.B),
+                     (rows.sigma, dense.sigma)):
+            assert np.array_equal(a, b)
 
     def test_report_dict_round_trips_to_json(self, desk_data):
         import json

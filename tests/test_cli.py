@@ -1,12 +1,13 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cosine_audit import analysis, cli
+from cosine_audit import __version__, analysis, cli
 from cosine_audit.cli import USER_USER_MAX_USERS, main
-from cosine_audit.io_utils import read_matrix_csv
+from cosine_audit.io_utils import config_hash, read_matrix_csv
 from cosine_audit.matrix_core import spectrum
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
 from cosine_audit.remedies import standardize
@@ -148,7 +149,7 @@ class TestSolveAndSimilarity:
         cfg.write_text(json.dumps({"sim": dict(SIM, n=USER_USER_MAX_USERS + 1)}))
         out = tmp_path / "out"
         assert main(["similarity", "--config", str(cfg), "--out", str(out),
-                     "--kind", "user-user"]) == 2
+                     "--kind", "user-user", "--rank", "4"]) == 2
         assert "user-user" in capsys.readouterr().err
         assert not out.exists()
 
@@ -306,6 +307,33 @@ class TestStrictConfig:
         assert main([command, "--config", str(cfg), "--out", str(out),
                      "--rank", "30"]) == 0
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("audit", None, "plan"), ("audit", {"solve": ENTRY}, "plan"),
+        ("solve", None, "solve.rank"), ("solve", {"plan": [ENTRY]}, "solve.rank"),
+        ("similarity", None, "solve.rank")])
+    def test_builtin_rank_above_min_n_p_exit_2_before_drawing(
+            self, tmp_path, monkeypatch, capsys, command, extra, key):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew X")
+
+        monkeypatch.setattr(cli, "sample_interactions", forbidden)
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        cfg = write_config(tmp_path, extra)  # p = 30, below the rank 50
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: not set")
+        assert "rank 50 is above min(sim.n, sim.p) = 30" in err
+        assert not out.exists()
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "fullrank-check"])
+    def test_builtin_rank_unchecked_where_unsolved(self, tmp_path, command):
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -321,7 +349,8 @@ class TestStrictConfig:
             raise ValueError("Maximum allowed dimension exceeded")
 
         monkeypatch.setattr(cli, "sample_interactions", failing)
-        cfg = write_config(tmp_path)
+        # a rank that fits p = 30, so that audit reaches the draw
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
         out = tmp_path / "out"
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
@@ -333,7 +362,8 @@ class TestStrictConfig:
             raise MemoryError("Unable to allocate 36.4 TiB for an array")
 
         monkeypatch.setattr(cli, "sample_interactions", exhausted)
-        cfg = write_config(tmp_path)
+        # ranks that fit p = 30, so that every command reaches the draw
+        cfg = write_config(tmp_path, {"plan": [ENTRY], "solve": ENTRY})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -401,6 +431,20 @@ class TestAudit:
                     if line.startswith("warning: degenerate plan entry")]
         assert len(warnings) == 1
         assert "effective_rank=1 rank=8" in warnings[0]
+
+    def test_zero_sigma_warning_is_one_line(self, tmp_path, capsys):
+        # steep popularity leaves items undrawn, so rank p keeps zero sigma
+        sim = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
+        plan = [{"objective": 1, "lambda": 100.0, "rank": 200}]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": sim, "plan": plan}))
+        assert main(["audit", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"warning: \d+ of the top 200 singular values "
+                            r"are zero; the corresponding embedding "
+                            r"dimensions are zero-padded", err[0])
 
     def test_full_rank_section_when_k_equals_p(self, tmp_path):
         plan = [{"objective": 1, "lambda": 10.0, "rank": 30,
@@ -661,9 +705,44 @@ def test_simulate_and_audit_hold_no_dense_x(tmp_path):
     out = tmp_path / "out"
     tracemalloc.start()
     try:
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        for argv in (["simulate"], ["audit"], ["solve"],
+                     ["similarity", "--kind", "item-item"]):
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * p * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_writes_the_resolved_config(self, tmp_path,
+                                                      command):
+        cfg = write_config(tmp_path, {"plan": [ENTRY],
+                                      "solve": dict(ENTRY, standardize=False)})
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--seed", "5"]) == 0
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert manifest == {
+            "config_sha256": config_hash(manifest["config"]), "seed": 5,
+            "version": __version__,
+            "config": {"sim": SimConfig.from_dict(dict(SIM, seed=5)).to_dict(),
+                       "plan": [dict(ENTRY, family="identity")],
+                       "solve": dict(ENTRY, family="identity",
+                                     standardize=False)}}
+        # no timings: a rerun writes the same bytes
+        assert ((outs[0] / "manifest.json").read_bytes()
+                == (outs[1] / "manifest.json").read_bytes())
+
+    def test_flags_and_defaults_are_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, {"plan": [ENTRY],
+                                      "solve": {"standardize": True}})
+        out = tmp_path / "out"
+        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                     "--rank", "6", "--lambda", "2", "--family",
+                     "collapse"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["solve"] == {"objective": 1, "lambda": 2.0, "rank": 6,
+                                   "family": "collapse", "standardize": True}

@@ -260,6 +260,12 @@ class TestBinaryRows:
             assert np.array_equal(simulated.dense(lo, hi), x[lo:hi])
         assert np.array_equal(simulated.dense(5, 77, dtype=bool), x[5:77] == 1)
 
+    def test_array_protocol_gives_the_dense_matrix(self, simulated):
+        x = simulated.dense()
+        for got in (np.asarray(simulated), as_matrix(simulated)):
+            assert got.dtype == np.float64 and np.array_equal(got, x)
+        assert np.array_equal(np.asarray(simulated, dtype=bool), x == 1)
+
     def test_spectrum_is_bit_identical_to_dense(self, simulated):
         a, b = spectrum(simulated), spectrum(simulated.dense())
         assert np.array_equal(a.singular_values, b.singular_values)
