@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ZeroRowError
-from .matrix_core import Spectrum, as_matrix, normalize_rows, spectrum, zero_rows
+from .matrix_core import Spectrum, as_matrix, normalize_rows, spectrum
 from .mf_solvers import (EmbeddingPair, predicted_scores, solve_objective1,
                          solve_objective2)
 from .rescale import FAMILIES, apply_scaling, named_scaling, random_scaling
@@ -108,8 +108,7 @@ class FullRankAudit:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def audit_full_rank(X, lam: float,
-                    spec: Spectrum | None = None) -> FullRankAudit:
+def audit_full_rank(X, lam: float) -> FullRankAudit:
     """Verify the full-rank identities of the product-regularized solver.
 
     (a) collapse family makes the item-item cosine matrix the identity;
@@ -121,10 +120,9 @@ def audit_full_rank(X, lam: float,
 
     Rank-deficient inputs drop the zero-sigma dimensions; (a) and (b) only
     hold at full rank and are marked skipped in that case. X is a dense
-    matrix or `BinaryRows`; `spec`, when given, is its spectrum.
+    matrix or `BinaryRows`.
     """
-    if spec is None:
-        spec = spectrum(X)
+    spec = spectrum(X)
     X = as_matrix(X)
     p = X.shape[1]
     k = spec.rank
@@ -178,12 +176,12 @@ def _user_cosine_gap(X: np.ndarray, pair: EmbeddingPair) -> float:
     Summed over blocks of users, so neither n x n matrix exists. Zero rows
     raise as in those two functions.
     """
-    XA = X @ pair.A
-    bad = zero_rows(XA)
+    emb, bad = normalize_rows(X @ pair.A)
     if bad.size:
         raise ZeroRowError(int(bad[0]), what="embedding row")
-    emb, _ = normalize_rows(XA)
-    raw, _ = normalize_rows(X)
+    raw, bad = normalize_rows(X)
+    if bad.size:
+        raise ZeroRowError(int(bad[0]))
     total = 0.0
     for lo in range(0, X.shape[0], _USER_BLOCK):
         gap = (emb[lo:lo + _USER_BLOCK] @ emb.T
@@ -249,7 +247,6 @@ class PlanResult:
 class AuditReport:
     results: tuple[PlanResult, ...]
     ground_truth_contrast: ClusterContrast
-    spectrum: Spectrum  # of X, shared by every entry; not serialized
 
     def to_dict(self) -> dict:
         return {"ground_truth_contrast": self.ground_truth_contrast.to_dict(),
@@ -291,7 +288,7 @@ def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
     """One item-item cosine matrix and cluster contrast per plan entry.
 
     X is a dense matrix or `BinaryRows`. Its spectrum is taken once and
-    shared by every entry; the report keeps it. `export`, when given, gets
+    shared by every entry. `export`, when given, gets
     each result right after its contrast, and the report keeps that result
     without its matrix, so at most one entry's p x p matrices are alive at
     a time.
@@ -305,8 +302,7 @@ def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
             res = replace(res, similarity=None)
         results.append(res)
     return AuditReport(results=tuple(results),
-                       ground_truth_contrast=_ground_truth_contrast(gt),
-                       spectrum=spec)
+                       ground_truth_contrast=_ground_truth_contrast(gt))
 
 
 def _ground_truth_contrast(gt: GroundTruth) -> ClusterContrast:

@@ -250,16 +250,7 @@ def cmd_audit(args) -> int:
         written.append(out / "ground_truth.pgm")
         write_pgm(out / "ground_truth.pgm",
                   cluster[:, None] == cluster[None, :], 0.0, 1.0)
-        p = X.shape[1]
-        full_rank = None
-        fr_entries = [e for e in plan if e.rank == p and e.objective == 1]
-        if fr_entries:
-            full_rank = audit_full_rank(X, fr_entries[0].lam,
-                                        spec=report.spectrum)
-        doc = report.to_dict()
-        if full_rank is not None:
-            doc["full_rank"] = full_rank.to_dict()
-        write_json(out / "report.json", doc)
+        write_json(out / "report.json", report.to_dict())
         _write_manifest(cfg)
     except Exception:
         for f in written:

@@ -210,45 +210,33 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=1)
 
 
-def _zero_norms(norms: np.ndarray) -> np.ndarray:
-    top = norms.max() if norms.size else 0.0
-    return np.flatnonzero(norms < max(top * ZERO_NORM_RELATIVE, ZERO_NORM_THRESHOLD))
-
-
-def zero_rows(m: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose norm is zero relative to the largest row.
-
-    An embedding row of an item nobody interacted with comes out of the
-    spectrum at rounding level (~1e-32), not at 0; its unit-normalised
-    cosines would be noise.
-    """
-    return _zero_norms(row_norms(m))
-
-
 def normalize_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to unit Euclidean norm.
+    """The nonzero rows of m scaled to unit Euclidean norm, and the indices
+    of the zero rows, which the first array leaves out.
 
-    Returns (normalized matrix, scale vector) where scale[i] = 1/||row_i||,
-    so that the output equals diag(scale) @ m.
-
-    Raises ZeroRowError for any row with (numerically) zero norm, as
-    `zero_rows` defines it.
+    This is the one place that decides which rows are zero, by the two
+    ZERO_NORM bounds above. An embedding row of an item nobody interacted
+    with comes out of the spectrum at rounding level (~1e-32), not at 0;
+    its unit-normalised cosines would be noise.
     """
     m = as_matrix(m)
     norms = row_norms(m)
-    bad = _zero_norms(norms)
-    if bad.size:
-        raise ZeroRowError(int(bad[0]))
-    scale = 1.0 / norms
-    return m * scale[:, None], scale
+    keep = norms >= max(norms.max() * ZERO_NORM_RELATIVE, ZERO_NORM_THRESHOLD)
+    zero = np.flatnonzero(~keep)
+    if zero.size:
+        m, norms = m[keep], norms[keep]
+    return m * (1.0 / norms)[:, None], zero
 
 
 def cosine_of_rows(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between the rows of m1 and the rows of m2."""
-    m1 = as_matrix(m1)
-    m2 = as_matrix(m2)
-    if m1.shape[1] != m2.shape[1]:
-        raise ValueError(f"column mismatch: {m1.shape[1]} vs {m2.shape[1]}")
-    n1, _ = normalize_rows(m1)
-    n2, _ = normalize_rows(m2)
+    """Pairwise cosine similarity between the rows of m1 and the rows of m2.
+
+    Raises ZeroRowError for the first zero row, as `normalize_rows`
+    defines it.
+    """
+    (n1, z1), (n2, z2) = normalize_rows(m1), normalize_rows(m2)
+    if n1.shape[1] != n2.shape[1]:
+        raise ValueError(f"column mismatch: {n1.shape[1]} vs {n2.shape[1]}")
+    if z1.size or z2.size:
+        raise ZeroRowError(int((z1 if z1.size else z2)[0]))
     return n1 @ n2.T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroRowError
-from .matrix_core import as_matrix, cosine_of_rows, zero_rows
+from .matrix_core import as_matrix, normalize_rows
 from .mf_solvers import EmbeddingPair
 
 KIND_ITEM_ITEM = "item-item"
@@ -34,20 +34,14 @@ class SimilarityMatrix:
 
 def _cosine_sided(left: np.ndarray, right: np.ndarray, kind: str,
                   on_zero: str) -> SimilarityMatrix:
-    zl, zr = zero_rows(left), zero_rows(right)
-    if zl.size or zr.size:
-        if on_zero == "raise":
-            raise ZeroRowError(int((zl if zl.size else zr)[0]),
-                               what="embedding row")
-        # drop: exclude zero-norm entities from the matrix but report them
-        keep_l = np.setdiff1d(np.arange(left.shape[0]), zl)
-        keep_r = np.setdiff1d(np.arange(right.shape[0]), zr)
-        left, right = left[keep_l], right[keep_r]
-    if left.shape[0] == 0 or right.shape[0] == 0:
-        values = np.zeros((left.shape[0], right.shape[0]))
-    else:
-        values = cosine_of_rows(left, right)
-    return SimilarityMatrix(values=values, kind=kind, metric=METRIC_COSINE,
+    # two normalize_rows calls even when left is right: one array on both
+    # sides would send the product to syrk, whose last bits may differ
+    (nl, zl), (nr, zr) = normalize_rows(left), normalize_rows(right)
+    if on_zero == "raise" and (zl.size or zr.size):
+        raise ZeroRowError(int((zl if zl.size else zr)[0]),
+                           what="embedding row")
+    # drop: zero-norm entities are left out of the matrix but reported
+    return SimilarityMatrix(values=nl @ nr.T, kind=kind, metric=METRIC_COSINE,
                             excluded_rows=tuple(int(i) for i in zl),
                             excluded_cols=tuple(int(i) for i in zr))
 

@@ -446,32 +446,19 @@ class TestAudit:
                             r"are zero; the corresponding embedding "
                             r"dimensions are zero-padded", err[0])
 
-    def test_full_rank_section_when_k_equals_p(self, tmp_path):
+    def test_rank_p_entry_runs_no_full_rank_checks(self, tmp_path,
+                                                   monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("audit ran the full-rank checks")
+
+        monkeypatch.setattr(cli, "audit_full_rank", forbidden)
         plan = [{"objective": 1, "lambda": 10.0, "rank": 30,
                  "family": "identity"}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert "full_rank" in report
-
-    def test_full_rank_audit_shares_the_spectrum(self, tmp_path, monkeypatch):
-        grams = []
-        real_eigh = np.linalg.eigh
-
-        def counting_eigh(g, *args, **kwargs):
-            grams.append(g.shape)
-            return real_eigh(g, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        plan = [{"objective": 1, "lambda": 10.0, "rank": 30,
-                 "family": "identity"},
-                {"objective": 2, "lambda": 1.0, "rank": 8,
-                 "family": "identity"}]
-        cfg = write_config(tmp_path, {"plan": plan})
-        assert main(["audit", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 0
-        assert grams == [(30, 30)]
+        assert sorted(report) == ["ground_truth_contrast", "results"]
 
     def test_bad_plan_family_exit_2(self, tmp_path):
         plan = [{"objective": 1, "lambda": 1.0, "rank": 4, "family": "bogus"}]
@@ -607,10 +594,14 @@ class TestAudit:
 
     def test_failure_after_the_ground_truth_heatmap_removes_it(
             self, tmp_path, monkeypatch):
-        def failing(*args, **kwargs):
-            raise ValueError("full-rank check failed")
+        real_write_json = cli.write_json
 
-        monkeypatch.setattr(cli, "audit_full_rank", failing)
+        def failing(path, doc):
+            if path.name == "report.json":
+                raise ValueError("report write failed")
+            real_write_json(path, doc)
+
+        monkeypatch.setattr(cli, "write_json", failing)
         plan = [{"objective": 1, "lambda": 10.0, "rank": 30}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"

@@ -147,24 +147,52 @@ class TestSpectrum:
 
 class TestNormalizeRows:
     def test_three_four_five(self):
-        out, scale = normalize_rows(np.array([[3.0, 4.0]]))
+        out, zero = normalize_rows(np.array([[3.0, 4.0]]))
         assert np.allclose(out, [[0.6, 0.8]])
-        assert np.allclose(scale, [0.2])
+        assert zero.size == 0
 
     def test_identity_unchanged(self):
-        out, scale = normalize_rows(np.eye(4))
+        out, zero = normalize_rows(np.eye(4))
         assert np.allclose(out, np.eye(4), atol=1e-12)
-        assert np.allclose(scale, 1.0)
+        assert zero.size == 0
 
-    def test_zero_row_raises(self):
-        with pytest.raises(ZeroRowError) as e:
-            normalize_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert e.value.index == 1
+    def test_zero_row_left_out_and_named(self):
+        out, zero = normalize_rows(np.array([[1.0, 2.0], [0.0, 0.0],
+                                             [0.0, 3.0], [0.0, 0.0]]))
+        assert zero.tolist() == [1, 3]
+        assert np.array_equal(out, [[1.0, 2.0] / np.sqrt(5.0), [0.0, 1.0]])
 
     def test_output_is_scale_times_input(self):
         m = seeded((5, 3), seed=9)
-        out, scale = normalize_rows(m)
-        assert np.allclose(out, scale[:, None] * m, atol=1e-12)
+        m[2] = 0.0
+        out, zero = normalize_rows(m)
+        kept = np.delete(m, zero, axis=0)
+        expected = kept * (1.0 / np.linalg.norm(kept, axis=1))[:, None]
+        assert zero.tolist() == [2]
+        assert np.array_equal(out, expected)
+
+    def test_relative_bound_keeps_exactly_1e_12_of_the_largest(self):
+        edge = matrix_core.ZERO_NORM_RELATIVE
+        below = np.nextafter(edge, 0.0)
+        m = np.array([[1.0], [edge], [below], [2 * edge]])
+        assert matrix_core.row_norms(m)[1:3].tolist() == [edge, below]
+        out, zero = normalize_rows(m)
+        assert zero.tolist() == [2]
+        assert out.shape == (3, 1)
+
+    def test_absolute_floor_holds_below_the_relative_bound(self, monkeypatch):
+        # computed norms are 0 or above 1e-162, so only fixed norms can
+        # reach the 1e-300 floor
+        floor = matrix_core.ZERO_NORM_THRESHOLD
+        norms = np.array([1e-290, floor, np.nextafter(floor, 0.0)])
+        monkeypatch.setattr(matrix_core, "row_norms", lambda m: norms)
+        _, zero = normalize_rows(np.ones((3, 2)))
+        assert zero.tolist() == [2]
+
+    def test_all_zero_matrix_leaves_no_row(self):
+        out, zero = normalize_rows(np.zeros((3, 2)))
+        assert out.shape == (0, 2)
+        assert zero.tolist() == [0, 1, 2]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -209,6 +237,17 @@ class TestCosineOfRows:
     def test_zero_row(self):
         with pytest.raises(ZeroRowError):
             cosine_of_rows(np.zeros((1, 3)), np.ones((1, 3)))
+
+    def test_zero_row_error_names_the_first_zero_row(self):
+        m1, m2 = seeded((4, 3), seed=15), seeded((5, 3), seed=16)
+        m1[[1, 3]] = 0.0
+        m2[0] = 0.0
+        with pytest.raises(ZeroRowError) as e:
+            cosine_of_rows(m1, m2)
+        assert e.value.index == 1
+        with pytest.raises(ZeroRowError) as e:
+            cosine_of_rows(m2[1:], m2)
+        assert e.value.index == 0
 
 
 def test_as_matrix_rejects_bad_shapes():

@@ -69,6 +69,27 @@ class TestItemItem:
             item_item(None, pair)
         assert e.value.index == 2
 
+    @staticmethod
+    def pair_with_zero_rows(rows, p=7, k=3, seed=17):
+        b = np.random.default_rng(seed).standard_normal((p, k))
+        b[list(rows)] = 0.0
+        return EmbeddingPair(A=b, B=b, lam=1.0, rank=k, objective=1,
+                             sigma=np.ones(k))
+
+    def test_drop_is_cosine_of_the_kept_rows(self):
+        pair = self.pair_with_zero_rows([1, 4])
+        s = item_item(None, pair, on_zero="drop")
+        kept = np.delete(pair.B, [1, 4], axis=0)
+        assert np.array_equal(s.values, cosine_of_rows(kept, kept))
+        assert s.excluded_rows == s.excluded_cols == (1, 4)
+
+    def test_raise_names_the_first_zero_row(self):
+        pair = self.pair_with_zero_rows([5, 2])
+        with pytest.raises(ZeroRowError) as e:
+            item_item(None, pair)
+        assert e.value.index == 2
+        assert str(e.value) == "embedding row 2 has zero norm"
+
     def test_zero_embedding_dropped_and_reported(self, small_x):
         pair = solve_objective2(small_x, 3, 1e6)
         s = item_item(small_x, pair, on_zero="drop")
@@ -114,6 +135,22 @@ class TestUserItem:
         s = user_item(small_x, pair, METRIC_DOT)
         assert np.allclose(s.values, predicted_scores(small_x, pair),
                            atol=1e-12)
+
+    def test_drop_reports_users_and_items_apart(self, small_x, pair):
+        B = pair.B.copy()
+        B[3] = 0.0
+        x = small_x.copy()
+        x[[0, 2]] = 0.0  # users with no interactions embed at 0
+        zeroed = EmbeddingPair(A=pair.A, B=B, lam=pair.lam, rank=pair.rank,
+                               objective=pair.objective, sigma=pair.sigma)
+        s = user_item(x, zeroed, on_zero="drop")
+        assert (s.excluded_rows, s.excluded_cols) == ((0, 2), (3,))
+        xa = np.delete(x @ pair.A, [0, 2], axis=0)
+        assert np.array_equal(s.values,
+                              cosine_of_rows(xa, np.delete(B, 3, axis=0)))
+        with pytest.raises(ZeroRowError) as e:
+            user_item(small_x, zeroed)
+        assert e.value.index == 3
 
     def test_dot_invariant_cosine_not(self, small_x, pair):
         d = random_scaling(3, 21, spread=2.0)
