@@ -287,13 +287,13 @@ def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
                            ) -> AuditReport:
     """One item-item cosine matrix and cluster contrast per plan entry.
 
-    X is a dense matrix or `BinaryRows`. Its spectrum is taken once and
-    shared by every entry. `export`, when given, gets
-    each result right after its contrast, and the report keeps that result
-    without its matrix, so at most one entry's p x p matrices are alive at
-    a time.
+    X is a dense matrix, `BinaryRows` or the `Spectrum` of either. Its
+    spectrum is taken once and shared by every entry. `export`, when given,
+    gets each result right after its contrast, and the report keeps that
+    result without its matrix, so at most one entry's p x p matrices are
+    alive at a time.
     """
-    spec = spectrum(X)
+    spec = X if isinstance(X, Spectrum) else spectrum(X)
     results = []
     for entry in plan:
         res = run_plan_entry(spec, gt, entry)

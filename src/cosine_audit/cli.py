@@ -12,9 +12,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import ConfigError, check_section
 from .io_utils import (read_json, write_embedding_pair, write_json,
                        write_manifest, write_matrix_csv, write_pgm,
                        write_similarity)
+from .matrix_core import spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
@@ -225,31 +228,124 @@ def cmd_similarity(args) -> int:
     return EXIT_OK
 
 
+def _run_share(spec, gt, entries: list[PlanEntry], out: Path):
+    """Run and export `entries` in order until one raises.
+
+    Returns (records, written, report): per entry reached, its result
+    without the matrix (None if it raised before its export), the warnings
+    it raised, recorded for the parent to replay, and its error or None;
+    the files its exports began; the report, None after an error.
+    """
+    records, written, exporting = [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+
+        def export(res) -> None:
+            exporting.append(replace(res, similarity=None))
+            name = f"similarity_{res.entry.label()}"
+            written.extend(out / f"{name}.{ext}" for ext in ("csv", "json", "pgm"))
+            write_similarity(out, name, res.similarity,
+                             provenance=res.entry.to_dict())
+            records.append((exporting.pop(), caught[:], None))
+            caught.clear()
+
+        try:
+            report = compare_configurations(spec, gt, entries, export=export)
+        except Exception as e:
+            records.append((exporting[0] if exporting else None, caught[:], e))
+            report = None
+    return records, written, report
+
+
+def _fork_share(spec, gt, entries: list[PlanEntry], out: Path):
+    """(pid, read end of its pipe) of a child that sends back `_run_share`'s
+    return value, pickled. The child leaves through os._exit, so no atexit
+    handler or caller's `finally` runs in it."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks; the only
+            # threads here are OpenBLAS's, whose own fork handlers stop them
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with open(w, "wb") as f:
+                pickle.dump(_run_share(spec, gt, entries, out), f)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join_share(pid: int, fd: int, entries: list[PlanEntry], out: Path):
+    """The share the child sent on `fd`, once it is reaped. A child that
+    died first fails at its first entry and may have written any of its
+    entries' files."""
+    with open(fd, "rb") as f:
+        data = f.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        error = OSError(f"plan worker {pid} ended without a result (exit "
+                        f"status {os.waitstatus_to_exitcode(status)})")
+        return ([(None, [], error)],
+                [out / f"similarity_{e.label()}.{ext}" for e in entries
+                 for ext in ("csv", "json", "pgm")], None)
+
+
 def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
     X, gt = _draw(out, sim_cfg)
-
+    spec = spectrum(X)
+    # worker w runs plan[w::workers]; worker 0 is this process
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(plan), cpus) if hasattr(os, "fork") else 1
     written: list[Path] = []
-
-    def export(res) -> None:
-        if res.degenerate:
-            print(f"warning: degenerate plan entry {res.entry.label()}: "
-                  f"effective_rank={res.effective_rank} "
-                  f"rank={res.entry.rank}; its cosines are all +-1 and "
-                  "its contrast is not a finding", file=sys.stderr)
-        name = f"similarity_{res.entry.label()}"
-        written.extend(out / f"{name}.{ext}" for ext in ("csv", "json", "pgm"))
-        write_similarity(out, name, res.similarity,
-                         provenance=res.entry.to_dict())
-
     try:
-        report = compare_configurations(X, gt, plan, export=export)
+        children, shares = [], []
+        try:
+            for w in range(1, workers):
+                children.append(_fork_share(spec, gt, plan[w::workers], out))
+            shares.append(_run_share(spec, gt, plan[::workers], out))
+        finally:
+            shares += [_join_share(pid, fd, plan[w::workers], out)
+                       for w, (pid, fd) in enumerate(children, start=1)]
+            for _, files, _ in shares:
+                written.extend(files)
+        # replayed in plan order through one registry, so a warning that
+        # two entries raise prints once, as in one process
+        registry: dict = {}
+        results = []
+        for i in range(len(plan)):
+            res, caught, error = shares[i % workers][0][i // workers]
+            for m in caught:
+                warnings.warn_explicit(m.message, m.category, m.filename,
+                                       m.lineno, registry=registry)
+            if res is not None and res.degenerate:
+                print(f"warning: degenerate plan entry {res.entry.label()}: "
+                      f"effective_rank={res.effective_rank} "
+                      f"rank={res.entry.rank}; its cosines are all +-1 and "
+                      "its contrast is not a finding", file=sys.stderr)
+            if error is not None:
+                raise error
+            results.append(res)
+        report = replace(shares[0][2], results=tuple(results))
         # the ground truth in figure order: 1 where two items share a cluster
         cluster = gt.item_cluster[figure_item_order(gt)]
         written.append(out / "ground_truth.pgm")
         write_pgm(out / "ground_truth.pgm",
                   cluster[:, None] == cluster[None, :], 0.0, 1.0)
+        written.append(out / "report.json")
         write_json(out / "report.json", report.to_dict())
         _write_manifest(cfg)
     except Exception:

@@ -1,4 +1,7 @@
-"""Shared error types and the checker of each config section's keys."""
+"""Shared error types and the checker of each config section's keys.
+
+The errors a plan entry may raise pickle with their constructors'
+arguments, so that they reach `audit` from a worker process intact."""
 
 import sys
 
@@ -8,7 +11,11 @@ class ZeroRowError(ValueError):
 
     def __init__(self, index: int, what: str = "row"):
         self.index = index
+        self.what = what
         super().__init__(f"{what} {index} has zero norm")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.what)
 
 
 class ZeroVarianceError(ValueError):
@@ -26,6 +33,9 @@ class ConfigError(ValueError):
         self.key = key
         self.message = message
         super().__init__(f"{key}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.key, self.message)
 
 
 def _is_number(v) -> bool:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from cosine_audit import __version__, analysis, cli
 from cosine_audit.cli import USER_USER_MAX_USERS, main
+from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.io_utils import config_hash, read_matrix_csv
 from cosine_audit.matrix_core import spectrum
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
@@ -608,6 +611,179 @@ class TestAudit:
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
         assert not (out / "ground_truth.pgm").exists()
         assert not list(out.glob("similarity_*"))
+
+
+    def test_failure_at_the_manifest_removes_the_report(self, tmp_path,
+                                                         monkeypatch):
+        def failing(cfg):
+            raise OSError("manifest write failed")
+
+        monkeypatch.setattr(cli, "_write_manifest", failing)
+        plan = [{"objective": 1, "lambda": 10.0, "rank": 30}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not (out / "report.json").exists()
+        assert not (out / "ground_truth.pgm").exists()
+        assert not list(out.glob("similarity_*"))
+
+
+class TestAuditWorkers:
+    """`audit` runs plan[w::W] in worker w, W = min(plan entries, usable
+    CPUs); worker 0 is the calling process and the others are forked.
+    Every output and stderr must be those of a one-process run."""
+
+    SIM = dict(SIM, n=2_000, p=200, C=5, cluster_probs=[0.2] * 5)
+    PLAN = [{"objective": 1, "lambda": 1000.0, "rank": 20, "family": f}
+            for f in ("collapse", "identity", "inverse",
+                      "symmetric-matching")] + [
+           {"objective": 2, "lambda": 10.0, "rank": 20}]
+
+    @staticmethod
+    def run(monkeypatch, capsys, cfg, out, cpus):
+        """(exit code, stderr, forks) of `audit` as if `cpus` CPUs were
+        usable; checks that no child outlives the command."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        capsys.readouterr()
+        code = main(["audit", "--config", str(cfg), "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, capsys.readouterr().err, len(forks)
+
+    def config(self, tmp_path, plan, sim=None):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": sim or self.SIM, "plan": plan}))
+        return cfg
+
+    def test_outputs_and_stderr_match_one_process(self, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1, forks1 = self.run(monkeypatch, capsys, cfg, one, 1)
+        code2, err2, forks2 = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, forks1, code2, forks2) == (0, 0, 0, 1)
+        files = tree(one)
+        assert len(files) == 3 * len(self.PLAN) + 3
+        assert tree(two) == files
+        assert err2 == err1
+
+    def test_workers_capped_at_plan_entries(self, tmp_path, monkeypatch,
+                                            capsys):
+        cfg = self.config(tmp_path, self.PLAN[:2])
+        code, _, forks = self.run(monkeypatch, capsys, cfg,
+                                  tmp_path / "out", 8)
+        assert (code, forks) == (0, 1)
+
+    def test_one_process_where_fork_is_missing(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.delattr(os, "fork")
+        cfg = self.config(tmp_path, self.PLAN[:2])
+        assert main(["audit", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("error, exit_code", [
+        (np.linalg.LinAlgError("eigenvalues did not converge"), 3),
+        (ZeroRowError(3, what="embedding row"), 3),
+        (ConfigError("plan[1].rank", "cannot be solved"), 2)])
+    def test_error_in_a_forked_worker_as_in_one_process(
+            self, tmp_path, monkeypatch, capsys, error, exit_code):
+        real = analysis.solve_objective1
+
+        def solve(X, rank, lam):
+            if rank == 30:
+                raise error
+            return real(X, rank, lam)
+
+        monkeypatch.setattr(analysis, "solve_objective1", solve)
+        plan = [dict(e, rank=30 if i == 1 else 20)
+                for i, e in enumerate(self.PLAN)]
+        cfg = self.config(tmp_path, plan)
+        errs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            code, err, _ = self.run(monkeypatch, capsys, cfg, out, cpus)
+            assert code == exit_code
+            assert not (out / "report.json").exists()
+            assert not list(out.glob("similarity_*"))
+            errs.append(err)
+        assert errs[1] == errs[0]
+        assert errs[0].endswith(f" error: {error}\n")
+
+    def test_first_error_in_plan_order_wins(self, tmp_path, monkeypatch,
+                                            capsys):
+        # entry 3 fails in the child after entry 1's export, and entry 4
+        # in this process after entries 0 and 2: entry 3's error is the
+        # one reported, and every export goes
+        real = analysis.solve_objective1
+
+        def solve(X, rank, lam):
+            if rank in (8, 9):
+                raise np.linalg.LinAlgError(f"rank {rank} failed")
+            return real(X, rank, lam)
+
+        monkeypatch.setattr(analysis, "solve_objective1", solve)
+        plan = [dict(self.PLAN[0], rank=r) for r in range(5, 11)]
+        out = tmp_path / "out"
+        code, err, forks = self.run(monkeypatch, capsys,
+                                    self.config(tmp_path, plan), out, 2)
+        assert (code, forks) == (3, 1)
+        assert err == "compute error: rank 8 failed\n"
+        assert not list(out.iterdir())
+
+    def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
+                                             capsys):
+        parent = os.getpid()
+        real = analysis.solve_objective1
+
+        def solve(X, rank, lam):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(X, rank, lam)
+
+        monkeypatch.setattr(analysis, "solve_objective1", solve)
+        out = tmp_path / "out"
+        code, err, forks = self.run(monkeypatch, capsys,
+                                    self.config(tmp_path, self.PLAN), out, 2)
+        assert (code, forks) == (3, 1)
+        assert re.fullmatch(r"compute error: plan worker \d+ ended without "
+                            r"a result \(exit status -9\)\n", err)
+        assert not list(out.iterdir())
+
+    def test_warnings_replayed_as_in_one_process(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # steep popularity leaves items undrawn, so rank p keeps zero
+        # sigma; lambda between the top two sigma leaves one dimension.
+        # Each worker's entries raise both warnings.
+        sim = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
+        sample, _ = sample_interactions(SimConfig.from_dict(sim))
+        s = spectrum(sample.matrix).singular_values
+        lam = float(s[0] + s[1]) / 2
+        plan = [{"objective": 1, "lambda": 100.0, "rank": 200},
+                {"objective": 1, "lambda": 10.0, "rank": 200},
+                {"objective": 2, "lambda": lam, "rank": 8},
+                {"objective": 2, "lambda": lam, "rank": 150}]
+        cfg = self.config(tmp_path, plan, sim)
+        code1, err1, _ = self.run(monkeypatch, capsys, cfg,
+                                  tmp_path / "one", 1)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg,
+                                      tmp_path / "two", 2)
+        assert (code1, code2, forks) == (0, 0, 1)
+        assert err2 == err1
+        # entry 1's zero-sigma warning repeats entry 0's and is dropped
+        lines = err1.splitlines()
+        assert [x.split()[1] for x in lines] == ["98", "degenerate", "48",
+                                                 "degenerate"]
 
 
 class TestFullrankCheck:
