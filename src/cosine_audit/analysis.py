@@ -5,14 +5,15 @@ recovery score against the simulator's ground-truth clusters.
 `audit_full_rank` checks the exact full-rank identities of the
 product-regularized solver. `compare_configurations` runs a plan of
 (objective, lambda, rank, family) choices over one data matrix and
-collects one contrast per choice. Both take the spectrum of X once and
-solve every entry from it.
+collects one contrast per choice, without forming any p x p matrix;
+`figure_similarity` builds one entry's item-item cosine matrix for export.
+Both take the spectrum of X once and solve every entry from it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -224,8 +225,6 @@ class PlanEntry:
 class PlanResult:
     entry: PlanEntry
     contrast: ClusterContrast
-    # items permuted to figure order; None once handed to an export
-    similarity: SimilarityMatrix | None
     excluded_items: tuple[int, ...]
     effective_rank: int  # nonzero columns of B after shrinkage
 
@@ -264,44 +263,68 @@ def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
 
 def run_plan_entry(spec: Spectrum, gt: GroundTruth,
                    entry: PlanEntry) -> PlanResult:
-    """One entry's item-item cosine matrix and its cluster contrast.
+    """One entry's cluster contrast of its item-item cosines, in O(pk).
 
-    The matrix is permuted so items appear by cluster, then by descending
-    popularity within each cluster.
+    For the unit rows u_i of B, the within-cluster sum of cosines is
+    sum_c (|S_c|^2 - |c|), where S_c sums cluster c's rows, and the
+    between-cluster sum is |sum_i u_i|^2 - n - within; no p x p matrix is
+    formed. `cluster_contrast` of `figure_similarity` is the reference.
+    Warns when the entry is degenerate.
     """
     pair = solve_plan_entry(spec, entry)
-    sim = item_item(None, pair, METRIC_COSINE, on_zero="drop")
-    contrast = cluster_contrast(sim, gt)
+    units, zero = normalize_rows(pair.B)
+    clusters = np.delete(gt.item_cluster, zero)
+    n = clusters.shape[0]
+    sizes = np.bincount(clusters)
+    sums = (clusters == np.arange(sizes.shape[0])[:, None]) @ units
+    total = units.sum(axis=0)
+    within = float(np.einsum("ij,ij->", sums, sums)) - n
+    between = float(total @ total) - n - within
+    # ordered pairs of items in one cluster, each item with itself included
+    same = int(sizes @ sizes)
+    within_pairs, between_pairs = same - n, n * n - same
+    res = PlanResult(
+        entry=entry,
+        contrast=ClusterContrast(
+            within_mean=within / within_pairs if within_pairs else None,
+            between_mean=between / between_pairs if between_pairs else None),
+        excluded_items=tuple(int(i) for i in zero),
+        effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
+    if res.degenerate:
+        warnings.warn(f"degenerate plan entry {entry.label()}: "
+                      f"effective_rank={res.effective_rank} "
+                      f"rank={entry.rank}; its cosines are all +-1 and its "
+                      "contrast is not a finding", RuntimeWarning,
+                      stacklevel=2)
+    return res
+
+
+def figure_similarity(X, gt: GroundTruth,
+                      entry: PlanEntry) -> SimilarityMatrix:
+    """One entry's item-item cosine matrix, zero rows dropped, with items
+    by cluster and then by descending popularity within each cluster.
+
+    X is the training matrix or its `Spectrum`.
+    """
+    sim = item_item(None, solve_plan_entry(X, entry), METRIC_COSINE,
+                    on_zero="drop")
     order = figure_item_order(gt)
     keep = np.setdiff1d(np.arange(gt.item_cluster.shape[0]),
                         np.asarray(sim.excluded_rows, dtype=np.int64))
     kept_order = np.searchsorted(keep, order[np.isin(order, keep)])
-    permuted = replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
-    return PlanResult(entry=entry, contrast=contrast, similarity=permuted,
-                      excluded_items=permuted.excluded_rows,
-                      effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
+    return replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
 
 
-def compare_configurations(X, gt: GroundTruth, plan: list[PlanEntry],
-                           export: Callable[[PlanResult], None] | None = None
-                           ) -> AuditReport:
-    """One item-item cosine matrix and cluster contrast per plan entry.
+def compare_configurations(X, gt: GroundTruth,
+                           plan: list[PlanEntry]) -> AuditReport:
+    """One cluster contrast per plan entry, in plan order.
 
     X is a dense matrix, `BinaryRows` or the `Spectrum` of either. Its
-    spectrum is taken once and shared by every entry. `export`, when given,
-    gets each result right after its contrast, and the report keeps that
-    result without its matrix, so at most one entry's p x p matrices are
-    alive at a time.
+    spectrum is taken once and shared by every entry.
     """
     spec = X if isinstance(X, Spectrum) else spectrum(X)
-    results = []
-    for entry in plan:
-        res = run_plan_entry(spec, gt, entry)
-        if export is not None:
-            export(res)
-            res = replace(res, similarity=None)
-        results.append(res)
-    return AuditReport(results=tuple(results),
+    return AuditReport(results=tuple(run_plan_entry(spec, gt, entry)
+                                     for entry in plan),
                        ground_truth_contrast=_ground_truth_contrast(gt))
 
 

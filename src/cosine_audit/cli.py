@@ -16,14 +16,14 @@ import os
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
-                       solve_plan_entry)
+                       figure_similarity, solve_plan_entry)
 from .errors import ConfigError, check_section
 from .io_utils import (read_json, write_embedding_pair, write_json,
                        write_manifest, write_matrix_csv, write_pgm,
@@ -228,40 +228,29 @@ def cmd_similarity(args) -> int:
     return EXIT_OK
 
 
-def _run_share(spec, gt, entries: list[PlanEntry], out: Path):
-    """Run and export `entries` in order until one raises.
-
-    Returns (records, written, report): per entry reached, its result
-    without the matrix (None if it raised before its export), the warnings
-    it raised, recorded for the parent to replay, and its error or None;
-    the files its exports began; the report, None after an error.
-    """
-    records, written, exporting = [], [], []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-
-        def export(res) -> None:
-            exporting.append(replace(res, similarity=None))
-            name = f"similarity_{res.entry.label()}"
-            written.extend(out / f"{name}.{ext}" for ext in ("csv", "json", "pgm"))
-            write_similarity(out, name, res.similarity,
-                             provenance=res.entry.to_dict())
-            records.append((exporting.pop(), caught[:], None))
-            caught.clear()
-
-        try:
-            report = compare_configurations(spec, gt, entries, export=export)
-        except Exception as e:
-            records.append((exporting[0] if exporting else None, caught[:], e))
-            report = None
-    return records, written, report
+def _export_share(spec, gt, plan: list[PlanEntry], w: int, workers: int,
+                  out: Path):
+    """Write the similarity exports of plan entries w, w + workers, ... in
+    order until one fails; (plan index, error) of that one, or None. The
+    report pass has shown every warning these entries raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(w, len(plan), workers):
+            try:
+                write_similarity(out, f"similarity_{plan[i].label()}",
+                                 figure_similarity(spec, gt, plan[i]),
+                                 provenance=plan[i].to_dict())
+            except Exception as e:
+                return i, e
+    return None
 
 
-def _fork_share(spec, gt, entries: list[PlanEntry], out: Path):
-    """(pid, read end of its pipe) of a child that sends back `_run_share`'s
-    return value, pickled. The child leaves through os._exit, so no atexit
-    handler or caller's `finally` runs in it."""
-    r, w = os.pipe()
+def _fork_share(spec, gt, plan: list[PlanEntry], w: int, workers: int,
+                out: Path):
+    """(pid, read end of its pipe) of a child that sends back
+    `_export_share`'s return value, pickled. The child leaves through
+    os._exit, so no atexit handler or caller's `finally` runs in it."""
+    r, wfd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads forks; the only
@@ -270,35 +259,31 @@ def _fork_share(spec, gt, entries: list[PlanEntry], out: Path):
             pid = os.fork()
     except BaseException:
         os.close(r)
-        os.close(w)
+        os.close(wfd)
         raise
     if pid == 0:
         code = 1
         try:
-            with open(w, "wb") as f:
-                pickle.dump(_run_share(spec, gt, entries, out), f)
+            with open(wfd, "wb") as f:
+                pickle.dump(_export_share(spec, gt, plan, w, workers, out), f)
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
+    os.close(wfd)
     return pid, r
 
 
-def _join_share(pid: int, fd: int, entries: list[PlanEntry], out: Path):
-    """The share the child sent on `fd`, once it is reaped. A child that
-    died first fails at its first entry and may have written any of its
-    entries' files."""
+def _join_share(pid: int, fd: int, w: int):
+    """What the child sent on `fd`, once it is reaped. A child that died
+    first fails at its first entry, w."""
     with open(fd, "rb") as f:
         data = f.read()
     _, status = os.waitpid(pid, 0)
     try:
         return pickle.loads(data)
     except Exception:
-        error = OSError(f"plan worker {pid} ended without a result (exit "
-                        f"status {os.waitstatus_to_exitcode(status)})")
-        return ([(None, [], error)],
-                [out / f"similarity_{e.label()}.{ext}" for e in entries
-                 for ext in ("csv", "json", "pgm")], None)
+        return w, OSError(f"plan worker {pid} ended without a result (exit "
+                          f"status {os.waitstatus_to_exitcode(status)})")
 
 
 def cmd_audit(args) -> int:
@@ -306,40 +291,28 @@ def cmd_audit(args) -> int:
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
     X, gt = _draw(out, sim_cfg)
     spec = spectrum(X)
-    # worker w runs plan[w::workers]; worker 0 is this process
+    # the report, its warnings and its first compute error, before any
+    # file is written
+    report = compare_configurations(spec, gt, plan)
+    # worker w writes the exports of plan[w::workers]; worker 0 is this
+    # process
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(plan), cpus) if hasattr(os, "fork") else 1
-    written: list[Path] = []
+    written = [out / f"similarity_{e.label()}.{ext}" for e in plan
+               for ext in ("csv", "json", "pgm")]
     try:
-        children, shares = [], []
+        children, failures = [], []
         try:
             for w in range(1, workers):
-                children.append(_fork_share(spec, gt, plan[w::workers], out))
-            shares.append(_run_share(spec, gt, plan[::workers], out))
+                children.append(_fork_share(spec, gt, plan, w, workers, out))
+            failures.append(_export_share(spec, gt, plan, 0, workers, out))
         finally:
-            shares += [_join_share(pid, fd, plan[w::workers], out)
-                       for w, (pid, fd) in enumerate(children, start=1)]
-            for _, files, _ in shares:
-                written.extend(files)
-        # replayed in plan order through one registry, so a warning that
-        # two entries raise prints once, as in one process
-        registry: dict = {}
-        results = []
-        for i in range(len(plan)):
-            res, caught, error = shares[i % workers][0][i // workers]
-            for m in caught:
-                warnings.warn_explicit(m.message, m.category, m.filename,
-                                       m.lineno, registry=registry)
-            if res is not None and res.degenerate:
-                print(f"warning: degenerate plan entry {res.entry.label()}: "
-                      f"effective_rank={res.effective_rank} "
-                      f"rank={res.entry.rank}; its cosines are all +-1 and "
-                      "its contrast is not a finding", file=sys.stderr)
-            if error is not None:
-                raise error
-            results.append(res)
-        report = replace(shares[0][2], results=tuple(results))
+            failures += [_join_share(pid, fd, w)
+                         for w, (pid, fd) in enumerate(children, start=1)]
+        failed = [f for f in failures if f is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
         # the ground truth in figure order: 1 where two items share a cluster
         cluster = gt.item_cluster[figure_item_order(gt)]
         written.append(out / "ground_truth.pgm")

@@ -1,7 +1,4 @@
-"""Shared error types and the checker of each config section's keys.
-
-The errors a plan entry may raise pickle with their constructors'
-arguments, so that they reach `audit` from a worker process intact."""
+"""Shared error types and the checker of each config section's keys."""
 
 import sys
 
@@ -13,9 +10,6 @@ class ZeroRowError(ValueError):
         self.index = index
         self.what = what
         super().__init__(f"{what} {index} has zero norm")
-
-    def __reduce__(self):
-        return type(self), (self.index, self.what)
 
 
 class ZeroVarianceError(ValueError):
@@ -33,9 +27,6 @@ class ConfigError(ValueError):
         self.key = key
         self.message = message
         super().__init__(f"{key}: {message}")
-
-    def __reduce__(self):
-        return type(self), (self.key, self.message)
 
 
 def _is_number(v) -> bool:

@@ -68,10 +68,11 @@ def _kernel_tables() -> dict:
         "keep": ((col >= np.arange(8)[:, None, None])
                  & (col <= col[:, None])).reshape(-1, _CELL).view(np.uint64),
         # gray level -> its text and separator as 4 bytes, and which of
-        # those bytes to keep
+        # those bytes to keep as 4 bools in one uint32
         "gray_sp": np.array([v + " " for v in levels], dtype="S4").view(np.uint32),
         "gray_nl": np.array([v + "\n" for v in levels], dtype="S4").view(np.uint32),
-        "gray_keep": np.arange(4) <= np.array([len(v) for v in levels])[:, None],
+        "gray_keep": (np.arange(4) <= np.array([len(v) for v in levels])[:, None]
+                      ).view(np.uint32).ravel(),
     }
 
 
@@ -196,9 +197,10 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_json(path, obj) -> None:
+    # one write of the whole text: json.dump writes each token on its own
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def read_json(path):
@@ -225,10 +227,10 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
             block = np.ascontiguousarray(v[i:i + _BLOCK_ROWS], dtype=np.float64)
             gray = np.clip(np.rint((block - lo) / (hi - lo) * 255.0),
                            0, 255).astype(np.intp)
-            cells = t["gray_sp"][gray]
-            cells[:, -1] = t["gray_nl"][gray[:, -1]]
-            f.write(cells.view(np.uint8).reshape(*gray.shape, 4)[t["gray_keep"][gray]]
-                    .tobytes())
+            cells = np.take(t["gray_sp"], gray)
+            cells[:, -1] = np.take(t["gray_nl"], gray[:, -1])
+            keep = np.take(t["gray_keep"], gray).view(np.bool_)
+            f.write(cells.view(np.uint8)[keep].tobytes())
 
 
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,

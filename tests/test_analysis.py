@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosine_audit.analysis as analysis
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
                                    cluster_contrast, compare_configurations,
+                                   figure_similarity, run_plan_entry,
                                    solve_plan_entry, _ground_truth_contrast)
 from cosine_audit.errors import ConfigError, ZeroRowError
-from cosine_audit.matrix_core import cosine_of_rows, svd
+from cosine_audit.matrix_core import cosine_of_rows, spectrum, svd
 from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
 from cosine_audit.rescale import apply_scaling, named_scaling
 from cosine_audit.similarity import SimilarityMatrix, item_item, user_user
@@ -148,6 +151,53 @@ class TestAuditFullRank:
             analysis._user_cosine_gap(x, pair)
 
 
+@st.composite
+def contrast_cases(draw):
+    """(X, ground truth, entry): items in one cluster, each in its own, or
+    in up to four; X's zero columns give B the zero rows the contrast
+    drops."""
+    p = draw(st.integers(1, 12))
+    layout = draw(st.sampled_from(["mixed", "one cluster", "singletons"]))
+    clusters = {"one cluster": [0] * p, "singletons": list(range(p)),
+                "mixed": draw(st.lists(st.integers(0, 3), min_size=p,
+                                       max_size=p))}[layout]
+    zero = draw(st.sets(st.integers(0, p - 1), max_size=p - 1))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (20, p))
+    x[:, sorted(zero)] = 0.0
+    objective = draw(st.sampled_from([1, 2]))
+    family = "identity" if objective == 2 else draw(
+        st.sampled_from(["identity", "collapse", "inverse"]))
+    # the named families need every retained sigma positive
+    top = p if family == "identity" else p - len(zero)
+    entry = PlanEntry(objective, draw(st.sampled_from([0.0, 0.5, 5.0])),
+                      draw(st.integers(1, top)), family)
+    c = len(set(clusters))
+    gt = GroundTruth(item_cluster=np.array(clusters),
+                     item_popularity=np.ones(p),
+                     cluster_exponents=np.ones(max(clusters) + 1),
+                     user_prefs=np.full((20, max(clusters) + 1), 1.0 / c))
+    return x, gt, entry
+
+
+class TestContrastInPk:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(contrast_cases())
+    def test_matches_cluster_contrast_of_the_matrix(self, case):
+        x, gt, entry = case
+        spec = spectrum(x)
+        got = run_plan_entry(spec, gt, entry)
+        sim = item_item(None, solve_plan_entry(spec, entry), on_zero="drop")
+        want = cluster_contrast(sim, gt)
+        assert got.excluded_items == sim.excluded_rows
+        for a, b in ((got.contrast.within_mean, want.within_mean),
+                     (got.contrast.between_mean, want.between_mean)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a == pytest.approx(b, abs=1e-12)
+
+
 class TestCompareConfigurations:
     def test_single_entry(self, desk_data):
         x, gt = desk_data
@@ -184,8 +234,7 @@ class TestCompareConfigurations:
         x, gt = desk_data
         plan = [PlanEntry(2, 5.0, 10)]
         runs = [compare_configurations(x, gt, plan) for _ in range(2)]
-        v1 = runs[0].results[0].similarity.values
-        v2 = runs[1].results[0].similarity.values
+        v1, v2 = (figure_similarity(x, gt, plan[0]).values for _ in range(2))
         assert np.array_equal(v1, v2)
         assert (runs[0].results[0].contrast.contrast
                 == runs[1].results[0].contrast.contrast)
@@ -196,6 +245,7 @@ class TestCompareConfigurations:
         x[:, [3, 40, 79]] = 0.0  # items the cosine matrix drops
         entry = PlanEntry(1, 10.0, 10)
         res = compare_configurations(x, gt, [entry]).results[0]
+        sim = figure_similarity(x, gt, entry)
         full = item_item(x, solve_plan_entry(x, entry), "cosine",
                          on_zero="drop")
         assert {3, 40, 79} <= set(res.excluded_items)
@@ -204,8 +254,8 @@ class TestCompareConfigurations:
         order = [i for i in figure_item_order(gt) if i in kept]
         assert np.all(np.diff(gt.item_cluster[order]) >= 0)
         at = [kept.index(i) for i in order]
-        assert np.array_equal(res.similarity.values,
-                              full.values[np.ix_(at, at)])
+        assert sim.excluded_rows == full.excluded_rows
+        assert np.array_equal(sim.values, full.values[np.ix_(at, at)])
 
     def test_one_gram_per_x(self, desk_data, monkeypatch):
         x, gt = desk_data
@@ -257,25 +307,28 @@ class TestCompareConfigurations:
                          item_popularity=np.ones(3),
                          cluster_exponents=np.ones(2),
                          user_prefs=np.full((30, 2), 0.5))
-        report = compare_configurations(x, gt, [PlanEntry(2, 5.0, 3),
-                                                PlanEntry(1, 5.0, 3)])
+        with pytest.warns(RuntimeWarning, match="degenerate plan entry "
+                          "obj2_lam5_k3_identity: effective_rank=1 rank=3"):
+            report = compare_configurations(x, gt, [PlanEntry(2, 5.0, 3),
+                                                    PlanEntry(1, 5.0, 3)])
         shrunk, full = report.to_dict()["results"]
         assert (shrunk["effective_rank"], shrunk["degenerate"]) == (1, True)
         assert (full["effective_rank"], full["degenerate"]) == (3, False)
         assert "effective_rank" not in shrunk["entry"]
 
     def test_export_gets_each_result_and_report_drops_its_matrix(self, desk_data):
+        # the report holds no matrix; each entry's export is built on its own
+        # and drops the items its result lists
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, f) for f in ("collapse", "inverse")]
         plan.append(PlanEntry(2, 5.0, 10))
-        kept = compare_configurations(x, gt, plan)
-        exported = []
-        streamed = compare_configurations(x, gt, plan, export=exported.append)
-        assert [r.entry for r in exported] == plan
-        for want, got, res in zip(kept.results, exported, streamed.results):
-            assert np.array_equal(got.similarity.values, want.similarity.values)
-            assert res.similarity is None
-            assert res.to_dict() == want.to_dict()
+        whole = compare_configurations(x, gt, plan)
+        for entry, res in zip(plan, whole.results):
+            alone = compare_configurations(x, gt, [entry]).results[0]
+            assert res.to_dict() == alone.to_dict()
+            assert not hasattr(res, "similarity")
+            assert (figure_similarity(x, gt, entry).excluded_rows
+                    == res.excluded_items)
 
     def test_binary_rows_give_the_dense_report(self, desk_data):
         x, gt = desk_data
@@ -285,8 +338,10 @@ class TestCompareConfigurations:
         dense = compare_configurations(x, gt, plan)
         rows = compare_configurations(sample.rows, gt, plan)
         assert rows.to_dict() == dense.to_dict()
-        for a, b in zip(rows.results, dense.results):
-            assert np.array_equal(a.similarity.values, b.similarity.values)
+        for entry in plan:
+            a = figure_similarity(sample.rows, gt, entry)
+            b = figure_similarity(x, gt, entry)
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("entry", [
         PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(1, 100.0, 80, "collapse"),

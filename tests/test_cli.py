@@ -629,9 +629,10 @@ class TestAudit:
 
 
 class TestAuditWorkers:
-    """`audit` runs plan[w::W] in worker w, W = min(plan entries, usable
-    CPUs); worker 0 is the calling process and the others are forked.
-    Every output and stderr must be those of a one-process run."""
+    """`audit` computes its report in the calling process, then writes the
+    exports of plan[w::W] in worker w, W = min(plan entries, usable CPUs);
+    worker 0 is the calling process and the others are forked. Every
+    output and stderr must be those of a one-process run."""
 
     SIM = dict(SIM, n=2_000, p=200, C=5, cluster_probs=[0.2] * 5)
     PLAN = [{"objective": 1, "lambda": 1000.0, "rank": 20, "family": f}
@@ -698,6 +699,8 @@ class TestAuditWorkers:
         (ConfigError("plan[1].rank", "cannot be solved"), 2)])
     def test_error_in_a_forked_worker_as_in_one_process(
             self, tmp_path, monkeypatch, capsys, error, exit_code):
+        # entry 1 would be the child's; the report pass raises its error
+        # before anything is forked
         real = analysis.solve_objective1
 
         def solve(X, rank, lam):
@@ -722,9 +725,8 @@ class TestAuditWorkers:
 
     def test_first_error_in_plan_order_wins(self, tmp_path, monkeypatch,
                                             capsys):
-        # entry 3 fails in the child after entry 1's export, and entry 4
-        # in this process after entries 0 and 2: entry 3's error is the
-        # one reported, and every export goes
+        # entries 3 and 4 fail to solve: the report pass stops at entry 3
+        # before anything is forked or written
         real = analysis.solve_objective1
 
         def solve(X, rank, lam):
@@ -737,9 +739,36 @@ class TestAuditWorkers:
         out = tmp_path / "out"
         code, err, forks = self.run(monkeypatch, capsys,
                                     self.config(tmp_path, plan), out, 2)
-        assert (code, forks) == (3, 1)
+        assert (code, forks) == (3, 0)
         assert err == "compute error: rank 8 failed\n"
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("failing", [[2], [3], [3, 4]])
+    def test_failed_export_as_in_one_process(self, tmp_path, monkeypatch,
+                                             capsys, failing):
+        # with 2 workers, entries 2 and 4 are this process's and entry 3
+        # the child's; the lowest failing index is reported
+        real = cli.write_similarity
+        plan = [dict(self.PLAN[0], rank=r) for r in range(5, 10)]
+        labels = {f"similarity_obj1_lam1000_k{5 + i}_collapse": i
+                  for i in failing}
+
+        def write(out, name, sim, provenance):
+            real(out, name, sim, provenance)
+            if name in labels:
+                raise OSError(f"disk full at entry {labels[name]}")
+
+        monkeypatch.setattr(cli, "write_similarity", write)
+        cfg = self.config(tmp_path, plan)
+        errs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            code, err, forks = self.run(monkeypatch, capsys, cfg, out, cpus)
+            assert (code, forks) == (3, cpus - 1)
+            assert not list(out.iterdir())
+            errs.append(err)
+        assert errs[1] == errs[0] == (
+            f"compute error: disk full at entry {failing[0]}\n")
 
     def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
                                              capsys):
@@ -764,7 +793,8 @@ class TestAuditWorkers:
                                                  capsys):
         # steep popularity leaves items undrawn, so rank p keeps zero
         # sigma; lambda between the top two sigma leaves one dimension.
-        # Each worker's entries raise both warnings.
+        # Each worker's entries raise both warnings, in the report pass;
+        # the exports solve them again without a word.
         sim = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
         sample, _ = sample_interactions(SimConfig.from_dict(sim))
         s = spectrum(sample.matrix).singular_values
