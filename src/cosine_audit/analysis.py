@@ -125,10 +125,9 @@ def audit_full_rank(X, lam: float) -> FullRankAudit:
     """
     spec = spectrum(X)
     X = as_matrix(X)
-    p = X.shape[1]
     k = spec.rank
-    zero_dims = p - k
-    full_rank = k == p
+    zero_dims = X.shape[1] - k
+    full_rank = zero_dims == 0
 
     pair = solve_objective1(spec, k, lam)
     collapse = apply_scaling(pair, named_scaling(pair, "collapse"))
@@ -136,16 +135,17 @@ def audit_full_rank(X, lam: float) -> FullRankAudit:
 
     checks = []
     if full_rank:
+        # the matrices of checks (a) and (c) are freed before the next check
         ii = item_item(X, collapse).values
         dev_a = float(np.abs(ii - np.diag(np.diag(ii))).max())
+        del ii
         dev_b = _user_cosine_gap(X, inverse)
         checks.append(CheckResult("item_item_collapses_to_identity",
                                   dev_a, TOL_IDENTITY, dev_a <= TOL_IDENTITY))
         checks.append(CheckResult("user_user_inverse_matches_raw_data",
                                   dev_b, TOL_IDENTITY, dev_b <= TOL_IDENTITY))
-        cos_ui = user_item(X, collapse, METRIC_COSINE)
-        dot_ui = user_item(X, collapse, METRIC_DOT)
-        frac = float(ranking_equal(cos_ui, dot_ui).mean())
+        frac = float(ranking_equal(user_item(X, collapse, METRIC_COSINE),
+                                   user_item(X, collapse, METRIC_DOT)).mean())
         checks.append(CheckResult("cosine_dot_ranking_agreement",
                                   1.0 - frac, 0.0, frac == 1.0))
     else:
@@ -261,19 +261,11 @@ def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
     return pair
 
 
-def run_plan_entry(spec: Spectrum, gt: GroundTruth,
-                   entry: PlanEntry) -> PlanResult:
-    """One entry's cluster contrast of its item-item cosines, in O(pk).
-
-    For the unit rows u_i of B, the within-cluster sum of cosines is
+def _unit_contrast(units: np.ndarray, clusters: np.ndarray) -> ClusterContrast:
+    """`cluster_contrast` of the cosines of unit rows `units`, row i in
+    cluster clusters[i], in O(pk): the within-cluster sum of cosines is
     sum_c (|S_c|^2 - |c|), where S_c sums cluster c's rows, and the
-    between-cluster sum is |sum_i u_i|^2 - n - within; no p x p matrix is
-    formed. `cluster_contrast` of `figure_similarity` is the reference.
-    Warns when the entry is degenerate.
-    """
-    pair = solve_plan_entry(spec, entry)
-    units, zero = normalize_rows(pair.B)
-    clusters = np.delete(gt.item_cluster, zero)
+    between-cluster sum is |sum_i u_i|^2 - n - within."""
     n = clusters.shape[0]
     sizes = np.bincount(clusters)
     sums = (clusters == np.arange(sizes.shape[0])[:, None]) @ units
@@ -283,11 +275,20 @@ def run_plan_entry(spec: Spectrum, gt: GroundTruth,
     # ordered pairs of items in one cluster, each item with itself included
     same = int(sizes @ sizes)
     within_pairs, between_pairs = same - n, n * n - same
+    return ClusterContrast(
+        within_mean=within / within_pairs if within_pairs else None,
+        between_mean=between / between_pairs if between_pairs else None)
+
+
+def run_plan_entry(spec: Spectrum, gt: GroundTruth,
+                   entry: PlanEntry) -> PlanResult:
+    """One entry's contrast from the unit rows of B; `cluster_contrast` of
+    `figure_similarity` is the reference. Warns when it is degenerate."""
+    pair = solve_plan_entry(spec, entry)
+    units, zero = normalize_rows(pair.B)
     res = PlanResult(
         entry=entry,
-        contrast=ClusterContrast(
-            within_mean=within / within_pairs if within_pairs else None,
-            between_mean=between / between_pairs if between_pairs else None),
+        contrast=_unit_contrast(units, np.delete(gt.item_cluster, zero)),
         excluded_items=tuple(int(i) for i in zero),
         effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
     if res.degenerate:
@@ -323,16 +324,9 @@ def compare_configurations(X, gt: GroundTruth,
     spectrum is taken once and shared by every entry.
     """
     spec = X if isinstance(X, Spectrum) else spectrum(X)
+    # one-hot cluster rows: their cosines are ground_truth_similarity(gt)
+    clusters = gt.item_cluster
+    one_hot = np.eye(clusters.max() + 1)[clusters]
     return AuditReport(results=tuple(run_plan_entry(spec, gt, entry)
                                      for entry in plan),
-                       ground_truth_contrast=_ground_truth_contrast(gt))
-
-
-def _ground_truth_contrast(gt: GroundTruth) -> ClusterContrast:
-    """cluster_contrast of ground_truth_similarity(gt), without its p x p
-    matrix: that matrix is 1 within clusters and 0 between, so the means
-    are exactly 1.0 and 0.0 wherever they are defined."""
-    sizes = np.bincount(gt.item_cluster)
-    return ClusterContrast(
-        within_mean=1.0 if np.any(sizes >= 2) else None,
-        between_mean=0.0 if np.count_nonzero(sizes) >= 2 else None)
+                       ground_truth_contrast=_unit_contrast(one_hot, clusters))

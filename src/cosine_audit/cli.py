@@ -25,9 +25,9 @@ from . import __version__
 from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
                        figure_similarity, solve_plan_entry)
 from .errors import ConfigError, check_section
-from .io_utils import (read_json, write_embedding_pair, write_json,
-                       write_manifest, write_matrix_csv, write_pgm,
-                       write_similarity)
+from .io_utils import (SIMILARITY_SUFFIXES, read_json, write_embedding_pair,
+                       write_json, write_manifest, write_matrix_csv,
+                       write_pgm, write_similarity)
 from .matrix_core import spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
@@ -299,8 +299,8 @@ def cmd_audit(args) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(plan), cpus) if hasattr(os, "fork") else 1
-    written = [out / f"similarity_{e.label()}.{ext}" for e in plan
-               for ext in ("csv", "json", "pgm")]
+    written = [out / f"similarity_{e.label()}{suffix}" for e in plan
+               for suffix in SIMILARITY_SUFFIXES]
     try:
         children, failures = [], []
         try:

@@ -233,11 +233,16 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
             f.write(cells.view(np.uint8)[keep].tobytes())
 
 
+# write_similarity writes out_dir / (name + suffix) for these, in order
+SIMILARITY_SUFFIXES = (".csv", ".json", ".pgm")
+
+
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
                      provenance: dict) -> None:
     """Similarity CSV + sidecar JSON + PGM heatmap."""
-    out_dir = Path(out_dir)
-    write_matrix_csv(out_dir / f"{name}.csv", sim.values)
+    csv_path, json_path, pgm_path = (Path(out_dir) / (name + suffix)
+                                     for suffix in SIMILARITY_SUFFIXES)
+    write_matrix_csv(csv_path, sim.values)
     if sim.metric == "cosine":
         lo, hi = -1.0, 1.0
     else:
@@ -250,8 +255,8 @@ def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
         "heatmap_range": [lo, hi],
         "provenance": provenance,
     }
-    write_json(out_dir / f"{name}.json", sidecar)
-    write_pgm(out_dir / f"{name}.pgm", sim.values, lo, hi)
+    write_json(json_path, sidecar)
+    write_pgm(pgm_path, sim.values, lo, hi)
 
 
 def write_embedding_pair(out_dir, pair: EmbeddingPair) -> None:

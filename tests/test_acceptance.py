@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from cosine_audit.analysis import PlanEntry, compare_configurations
+from cosine_audit.analysis import (PlanEntry, cluster_contrast,
+                                   compare_configurations)
 from cosine_audit.cli import main
 from cosine_audit.matrix_core import cosine_of_rows, svd
 from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
@@ -138,25 +139,29 @@ def test_criterion_7_arbitrariness_at_desk_scale(desk_instance):
     contrasts = [r.contrast.contrast for r in rep.results]
     span = max(contrasts) - min(contrasts)
 
-    # objective 2 at lambda=100: sigma_1 of this instance is ~49 < lambda, so
-    # the unique solution is exactly zero; uniqueness is asserted on the
-    # factors and on the (absent) contrast across repeated solves
-    solves = [solve_objective2(x.copy(), 20, 100.0) for _ in range(3)]
+    # objective 2 at lambda=10, below sigma_1 ~ 49.6 of this instance, so
+    # the solution keeps all 20 dimensions; uniqueness is asserted on the
+    # factors, on the contrast across repeated solves and on the contrast
+    # under rotations, objective 2's only gauge
+    solves = [solve_objective2(x.copy(), 20, 10.0) for _ in range(3)]
     factor_dev = max(np.abs(s.B - solves[0].B).max() for s in solves[1:])
-    reports = [compare_configurations(x, gt, [PlanEntry(2, 100.0, 20)])
+    reports = [compare_configurations(x, gt, [PlanEntry(2, 10.0, 20)])
                for _ in range(3)]
+    degenerate = any(r.results[0].degenerate for r in reports)
     obj2 = [r.results[0].contrast.contrast for r in reports]
-    if all(c is None for c in obj2):
-        contrast_dev = 0.0
-    else:
-        contrast_dev = max(abs(c - obj2[0]) for c in obj2[1:])
+    for seed in range(5):
+        rotated = apply_rotation(solves[0], random_rotation(20, seed))
+        obj2.append(cluster_contrast(item_item(None, rotated), gt).contrast)
+    contrast_dev = (max(abs(c - obj2[0]) for c in obj2[1:])
+                    if None not in obj2 else float("inf"))
     elapsed = time.monotonic() - start
     report(7, f"objective-1 contrast span {span:.3f} > 0.05 across D families; "
-              f"objective-2 solve identical across 3 runs "
-              f"(factor dev {factor_dev:.1e}, contrast dev {contrast_dev:.1e} "
-              f"<= 1e-12); {elapsed:.1f}s < 60s",
-           span > 0.05 and factor_dev <= 1e-12 and contrast_dev <= 1e-12
-           and elapsed < 60.0)
+              f"objective-2 contrast {obj2[0]} (degenerate: {degenerate}) "
+              f"identical across 3 runs and 5 rotations (factor dev "
+              f"{factor_dev:.1e}, contrast dev {contrast_dev:.1e} <= 1e-12); "
+              f"{elapsed:.1f}s < 60s",
+           span > 0.05 and not degenerate and factor_dev <= 1e-12
+           and contrast_dev <= 1e-12 and elapsed < 60.0)
 
 
 def test_criterion_8_remedy_invariance(desk_instance):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import cosine_audit.analysis as analysis
 from cosine_audit.analysis import (PlanEntry, audit_full_rank,
                                    cluster_contrast, compare_configurations,
                                    figure_similarity, run_plan_entry,
-                                   solve_plan_entry, _ground_truth_contrast)
+                                   solve_plan_entry)
 from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows, spectrum, svd
 from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
@@ -79,7 +81,10 @@ class TestClusterContrast:
                          cluster_exponents=np.ones(max(clusters) + 1),
                          user_prefs=np.ones((2, max(clusters) + 1)))
         dense = cluster_contrast(item_sim(ground_truth_similarity(gt)), gt)
-        assert _ground_truth_contrast(gt) == dense
+        x = np.ones((2, len(clusters)))
+        got = compare_configurations(x, gt, []).ground_truth_contrast
+        # the means are exact: 1.0, 0.0 or None, as report.json prints them
+        assert json.dumps(got.to_dict()) == json.dumps(dense.to_dict())
 
     def test_wrong_kind_rejected(self, desk_data):
         _, gt = desk_data
@@ -196,6 +201,14 @@ class TestContrastInPk:
             assert (a is None) == (b is None)
             if a is not None:
                 assert a == pytest.approx(b, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(contrast_cases())
+    def test_ground_truth_contrast_is_that_of_its_matrix(self, case):
+        x, gt, _ = case
+        got = compare_configurations(x, gt, []).ground_truth_contrast
+        want = cluster_contrast(item_sim(ground_truth_similarity(gt)), gt)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 class TestCompareConfigurations:

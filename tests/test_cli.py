@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cosine_audit import __version__, analysis, cli
+from cosine_audit import __version__, analysis, cli, io_utils
 from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.io_utils import config_hash, read_matrix_csv
@@ -626,6 +626,24 @@ class TestAudit:
         assert not (out / "report.json").exists()
         assert not (out / "ground_truth.pgm").exists()
         assert not list(out.glob("similarity_*"))
+
+    def test_failure_at_a_similarity_heatmap_removes_every_export(
+            self, tmp_path, monkeypatch, capsys):
+        # the PGM is the last file write_similarity writes; the failed write
+        # leaves a partial one behind
+        def failing(path, values, lo, hi):
+            path.write_bytes(b"P2\n")
+            raise OSError("heatmap write failed")
+
+        monkeypatch.setattr(io_utils, "write_pgm", failing)
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "compute error: heatmap write failed\n")
+        assert not (out / "report.json").exists()
+        assert not list(out.glob("similarity_*"))
+
 
 
 class TestAuditWorkers:
