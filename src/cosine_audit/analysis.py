@@ -5,16 +5,16 @@ recovery score against the simulator's ground-truth clusters.
 `audit_full_rank` checks the exact full-rank identities of the
 product-regularized solver. `compare_configurations` runs a plan of
 (objective, lambda, rank, family) choices over one data matrix and
-collects one contrast per choice, without forming any p x p matrix;
-`figure_similarity` builds one entry's item-item cosine matrix for export.
-Both take the spectrum of X once and solve every entry from it.
+collects one contrast per choice, without forming any p x p matrix, from
+the spectrum of X, taken once; `figure_similarity` builds one result's
+item-item cosine matrix for export from the unit rows that result keeps.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .rescale import FAMILIES, apply_scaling, named_scaling, random_scaling
 from .similarity import (KIND_ITEM_ITEM, METRIC_COSINE, METRIC_DOT,
                          SimilarityMatrix, item_item, ranking_equal,
                          user_item)
-from .synthgen import GroundTruth, figure_item_order
+from .synthgen import GroundTruth
 
 # users per row block of the n x n comparison in audit_full_rank check (b)
 _USER_BLOCK = 512
@@ -227,6 +227,7 @@ class PlanResult:
     contrast: ClusterContrast
     excluded_items: tuple[int, ...]
     effective_rank: int  # nonzero columns of B after shrinkage
+    units: np.ndarray = field(repr=False, compare=False)  # B's kept unit rows
 
     @property
     def degenerate(self) -> bool:
@@ -283,14 +284,15 @@ def _unit_contrast(units: np.ndarray, clusters: np.ndarray) -> ClusterContrast:
 def run_plan_entry(spec: Spectrum, gt: GroundTruth,
                    entry: PlanEntry) -> PlanResult:
     """One entry's contrast from the unit rows of B; `cluster_contrast` of
-    `figure_similarity` is the reference. Warns when it is degenerate."""
+    their cosine matrix is the reference. Warns when it is degenerate."""
     pair = solve_plan_entry(spec, entry)
     units, zero = normalize_rows(pair.B)
     res = PlanResult(
         entry=entry,
         contrast=_unit_contrast(units, np.delete(gt.item_cluster, zero)),
         excluded_items=tuple(int(i) for i in zero),
-        effective_rank=int(np.count_nonzero(pair.B.any(axis=0))))
+        effective_rank=int(np.count_nonzero(pair.B.any(axis=0))),
+        units=units)
     if res.degenerate:
         warnings.warn(f"degenerate plan entry {entry.label()}: "
                       f"effective_rank={res.effective_rank} "
@@ -300,30 +302,26 @@ def run_plan_entry(spec: Spectrum, gt: GroundTruth,
     return res
 
 
-def figure_similarity(X, gt: GroundTruth,
-                      entry: PlanEntry) -> SimilarityMatrix:
-    """One entry's item-item cosine matrix, zero rows dropped, with items
-    by cluster and then by descending popularity within each cluster.
-
-    X is the training matrix or its `Spectrum`.
-    """
-    sim = item_item(None, solve_plan_entry(X, entry), METRIC_COSINE,
-                    on_zero="drop")
-    order = figure_item_order(gt)
-    keep = np.setdiff1d(np.arange(gt.item_cluster.shape[0]),
-                        np.asarray(sim.excluded_rows, dtype=np.int64))
+def figure_similarity(res: PlanResult, order: np.ndarray) -> SimilarityMatrix:
+    """`res`'s item-item cosine matrix, its items in `order` (figure order)."""
+    # in item order, then reordered: reordering first changes the last bits;
+    # the copy keeps numpy on gemm, as similarity._cosine_sided explains
+    values = res.units @ res.units.copy().T
+    keep = np.delete(np.arange(order.shape[0]), res.excluded_items)
     kept_order = np.searchsorted(keep, order[np.isin(order, keep)])
-    return replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
+    return SimilarityMatrix(values[np.ix_(kept_order, kept_order)],
+                            KIND_ITEM_ITEM, METRIC_COSINE,
+                            res.excluded_items, res.excluded_items)
 
 
 def compare_configurations(X, gt: GroundTruth,
                            plan: list[PlanEntry]) -> AuditReport:
     """One cluster contrast per plan entry, in plan order.
 
-    X is a dense matrix, `BinaryRows` or the `Spectrum` of either. Its
-    spectrum is taken once and shared by every entry.
+    X is a dense matrix or `BinaryRows`. Its spectrum is taken once and
+    shared by every entry.
     """
-    spec = X if isinstance(X, Spectrum) else spectrum(X)
+    spec = spectrum(X)
     # one-hot cluster rows: their cosines are ground_truth_similarity(gt)
     clusters = gt.item_cluster
     one_hot = np.eye(clusters.max() + 1)[clusters]

@@ -16,6 +16,7 @@ import os
 import pickle
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from .errors import ConfigError, check_section
 from .io_utils import (SIMILARITY_SUFFIXES, read_json, write_embedding_pair,
                        write_json, write_manifest, write_matrix_csv,
                        write_pgm, write_similarity)
-from .matrix_core import spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
@@ -145,13 +145,25 @@ def _resolve(args) -> Resolved:
                     out=Path(args.out or output.get("dir", ".")))
 
 
+@contextmanager
+def _removed_on_error(paths: list[Path]):
+    """Unlink `paths`, and any the block appends to it, if the block raises."""
+    try:
+        yield
+    except Exception:
+        for f in paths:
+            f.unlink(missing_ok=True)
+        raise
+
+
 def _write_manifest(cfg: Resolved) -> None:
     """manifest.json: the whole resolved config, flags applied, its hash,
     the seed and the version. It holds no timings, so reruns match."""
     config = {"sim": cfg.sim.to_dict(),
               "plan": [e.to_dict() for e in cfg.plan],
               "solve": {**cfg.solve.to_dict(), "standardize": cfg.standardize}}
-    write_manifest(cfg.out, config, cfg.sim.seed, __version__)
+    with _removed_on_error([cfg.out / "manifest.json"]):
+        write_manifest(cfg.out, config, cfg.sim.seed, __version__)
 
 
 def _sim_record(sim_cfg: SimConfig) -> dict:
@@ -203,8 +215,9 @@ def cmd_solve(args) -> int:
     pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
                             entry)
     pair_dir = out / f"pair_obj{entry.objective}"
-    write_embedding_pair(pair_dir, pair)
-    _write_manifest(cfg)
+    with _removed_on_error([pair_dir / f for f in ("A.csv", "B.csv", "meta.json")]):
+        write_embedding_pair(pair_dir, pair)
+        _write_manifest(cfg)
     print(f"wrote embedding pair to {pair_dir}")
     return EXIT_OK
 
@@ -222,31 +235,29 @@ def cmd_similarity(args) -> int:
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
     name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
             f"_{entry.family}")
-    write_similarity(out, name, sim, entry.to_dict())
-    _write_manifest(cfg)
+    with _removed_on_error([out / (name + suffix)
+                            for suffix in SIMILARITY_SUFFIXES]):
+        write_similarity(out, name, sim, entry.to_dict())
+        _write_manifest(cfg)
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 
 
-def _export_share(spec, gt, plan: list[PlanEntry], w: int, workers: int,
-                  out: Path):
-    """Write the similarity exports of plan entries w, w + workers, ... in
-    order until one fails; (plan index, error) of that one, or None. The
-    report pass has shown every warning these entries raise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i in range(w, len(plan), workers):
-            try:
-                write_similarity(out, f"similarity_{plan[i].label()}",
-                                 figure_similarity(spec, gt, plan[i]),
-                                 provenance=plan[i].to_dict())
-            except Exception as e:
-                return i, e
+def _export_share(results, order, w: int, workers: int, out: Path):
+    """Write the similarity exports of `results` w, w + workers, ... in
+    order until one fails; (index, error) of that one, or None."""
+    for i in range(w, len(results), workers):
+        entry = results[i].entry
+        try:
+            write_similarity(out, f"similarity_{entry.label()}",
+                             figure_similarity(results[i], order),
+                             provenance=entry.to_dict())
+        except Exception as e:
+            return i, e
     return None
 
 
-def _fork_share(spec, gt, plan: list[PlanEntry], w: int, workers: int,
-                out: Path):
+def _fork_share(results, order, w: int, workers: int, out: Path):
     """(pid, read end of its pipe) of a child that sends back
     `_export_share`'s return value, pickled. The child leaves through
     os._exit, so no atexit handler or caller's `finally` runs in it."""
@@ -265,7 +276,7 @@ def _fork_share(spec, gt, plan: list[PlanEntry], w: int, workers: int,
         code = 1
         try:
             with open(wfd, "wb") as f:
-                pickle.dump(_export_share(spec, gt, plan, w, workers, out), f)
+                pickle.dump(_export_share(results, order, w, workers, out), f)
             code = 0
         finally:
             os._exit(code)
@@ -290,23 +301,22 @@ def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
     X, gt = _draw(out, sim_cfg)
-    spec = spectrum(X)
     # the report, its warnings and its first compute error, before any
-    # file is written
-    report = compare_configurations(spec, gt, plan)
-    # worker w writes the exports of plan[w::workers]; worker 0 is this
-    # process
+    # file is written; the exports format its unit rows
+    report = compare_configurations(X, gt, plan)
+    results, order = report.results, figure_item_order(gt)
+    # worker w exports results[w::workers]; worker 0 is this process
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(plan), cpus) if hasattr(os, "fork") else 1
     written = [out / f"similarity_{e.label()}{suffix}" for e in plan
                for suffix in SIMILARITY_SUFFIXES]
-    try:
+    with _removed_on_error(written):
         children, failures = [], []
         try:
             for w in range(1, workers):
-                children.append(_fork_share(spec, gt, plan, w, workers, out))
-            failures.append(_export_share(spec, gt, plan, 0, workers, out))
+                children.append(_fork_share(results, order, w, workers, out))
+            failures.append(_export_share(results, order, 0, workers, out))
         finally:
             failures += [_join_share(pid, fd, w)
                          for w, (pid, fd) in enumerate(children, start=1)]
@@ -314,17 +324,13 @@ def cmd_audit(args) -> int:
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
         # the ground truth in figure order: 1 where two items share a cluster
-        cluster = gt.item_cluster[figure_item_order(gt)]
+        cluster = gt.item_cluster[order]
         written.append(out / "ground_truth.pgm")
         write_pgm(out / "ground_truth.pgm",
                   cluster[:, None] == cluster[None, :], 0.0, 1.0)
         written.append(out / "report.json")
         write_json(out / "report.json", report.to_dict())
         _write_manifest(cfg)
-    except Exception:
-        for f in written:
-            f.unlink(missing_ok=True)
-        raise
     print(f"audit complete: {len(report.results)} plan entries, "
           f"report at {out / 'report.json'}")
     return EXIT_OK

@@ -125,16 +125,11 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class InteractionSample:
-    rows: BinaryRows            # (n, p) binary interactions
-    items_per_user: np.ndarray  # (n,) ints: the ones in each row
+    rows: BinaryRows  # (n, p) binary interactions
 
-    def __post_init__(self):
-        n = self.rows.shape[0]
-        if self.items_per_user.shape != (n,):
-            raise ValueError(f"{n} matrix rows but "
-                             f"{self.items_per_user.shape[0]} user counts")
-        if np.any(np.diff(self.rows.indptr) != self.items_per_user):
-            raise ValueError("user counts differ from the ones in their rows")
+    @property
+    def items_per_user(self) -> np.ndarray:  # read by perfbench's tracer
+        return np.diff(self.rows.indptr)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -279,7 +274,7 @@ def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTru
     np.cumsum(k_u, out=indptr[1:])
     rows = BinaryRows(indptr=indptr, indices=np.concatenate(blocks),
                       shape=(n, p))
-    return InteractionSample(rows=rows, items_per_user=k_u), gt
+    return InteractionSample(rows=rows), gt
 
 
 def _complete(gt: GroundTruth, lo: int, short: np.ndarray, got: np.ndarray,

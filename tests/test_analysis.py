@@ -34,6 +34,16 @@ def desk_rows():
     return sample_interactions(cfg)[0].rows
 
 
+def reference_export(x, gt, entry):
+    """item_item of the entry's own solve, and its values in figure order:
+    what `figure_similarity` must give bit for bit."""
+    full = item_item(x, solve_plan_entry(x, entry), "cosine", on_zero="drop")
+    kept = [i for i in range(gt.item_cluster.shape[0])
+            if i not in full.excluded_rows]
+    at = [kept.index(i) for i in figure_item_order(gt) if i in kept]
+    return full, full.values[np.ix_(at, at)]
+
+
 def item_sim(values, excluded=()):
     return SimilarityMatrix(values=np.asarray(values, dtype=float),
                             kind="item-item", metric="cosine",
@@ -193,9 +203,11 @@ class TestContrastInPk:
         x, gt, entry = case
         spec = spectrum(x)
         got = run_plan_entry(spec, gt, entry)
-        sim = item_item(None, solve_plan_entry(spec, entry), on_zero="drop")
+        sim, figure = reference_export(x, gt, entry)
         want = cluster_contrast(sim, gt)
         assert got.excluded_items == sim.excluded_rows
+        export = figure_similarity(got, figure_item_order(gt))
+        assert np.array_equal(export.values, figure)
         for a, b in ((got.contrast.within_mean, want.within_mean),
                      (got.contrast.between_mean, want.between_mean)):
             assert (a is None) == (b is None)
@@ -247,7 +259,8 @@ class TestCompareConfigurations:
         x, gt = desk_data
         plan = [PlanEntry(2, 5.0, 10)]
         runs = [compare_configurations(x, gt, plan) for _ in range(2)]
-        v1, v2 = (figure_similarity(x, gt, plan[0]).values for _ in range(2))
+        order = figure_item_order(gt)
+        v1, v2 = (figure_similarity(r.results[0], order).values for r in runs)
         assert np.array_equal(v1, v2)
         assert (runs[0].results[0].contrast.contrast
                 == runs[1].results[0].contrast.contrast)
@@ -258,17 +271,15 @@ class TestCompareConfigurations:
         x[:, [3, 40, 79]] = 0.0  # items the cosine matrix drops
         entry = PlanEntry(1, 10.0, 10)
         res = compare_configurations(x, gt, [entry]).results[0]
-        sim = figure_similarity(x, gt, entry)
-        full = item_item(x, solve_plan_entry(x, entry), "cosine",
-                         on_zero="drop")
+        sim = figure_similarity(res, figure_item_order(gt))
+        full, figure = reference_export(x, gt, entry)
         assert {3, 40, 79} <= set(res.excluded_items)
         assert res.excluded_items == full.excluded_rows
         kept = [i for i in range(x.shape[1]) if i not in full.excluded_rows]
         order = [i for i in figure_item_order(gt) if i in kept]
         assert np.all(np.diff(gt.item_cluster[order]) >= 0)
-        at = [kept.index(i) for i in order]
-        assert sim.excluded_rows == full.excluded_rows
-        assert np.array_equal(sim.values, full.values[np.ix_(at, at)])
+        assert sim.excluded_rows == sim.excluded_cols == full.excluded_rows
+        assert np.array_equal(sim.values, figure)
 
     def test_one_gram_per_x(self, desk_data, monkeypatch):
         x, gt = desk_data
@@ -293,7 +304,10 @@ class TestCompareConfigurations:
                 for f in ("collapse", "identity", "inverse",
                           "symmetric-matching")]
         plan += [PlanEntry(2, 5.0, 10), PlanEntry(2, 30.0, 20)]
-        report = compare_configurations(x, gt, plan)
+        # PlanEntry(2, 30.0, 20) keeps one dimension
+        with pytest.warns(RuntimeWarning, match="degenerate plan entry "
+                          "obj2_lam30_k20_identity"):
+            report = compare_configurations(x, gt, plan)
         for entry, res in zip(plan, report.results):
             f = svd(x, entry.rank)
             s = f.singular_values
@@ -330,18 +344,25 @@ class TestCompareConfigurations:
         assert "effective_rank" not in shrunk["entry"]
 
     def test_export_gets_each_result_and_report_drops_its_matrix(self, desk_data):
-        # the report holds no matrix; each entry's export is built on its own
+        # the report holds no matrix; each entry's export is built from its
+        # own result's unit rows, which report.json, repr and == leave out,
         # and drops the items its result lists
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, f) for f in ("collapse", "inverse")]
         plan.append(PlanEntry(2, 5.0, 10))
         whole = compare_configurations(x, gt, plan)
+        order = figure_item_order(gt)
         for entry, res in zip(plan, whole.results):
             alone = compare_configurations(x, gt, [entry]).results[0]
             assert res.to_dict() == alone.to_dict()
+            assert res == alone
             assert not hasattr(res, "similarity")
-            assert (figure_similarity(x, gt, entry).excluded_rows
-                    == res.excluded_items)
+            assert "units" not in json.dumps(res.to_dict())
+            assert "units" not in repr(res)
+            export = figure_similarity(res, order)
+            assert export.excluded_rows == res.excluded_items
+            assert np.array_equal(export.values,
+                                  reference_export(x, gt, entry)[1])
 
     def test_binary_rows_give_the_dense_report(self, desk_data):
         x, gt = desk_data
@@ -351,10 +372,10 @@ class TestCompareConfigurations:
         dense = compare_configurations(x, gt, plan)
         rows = compare_configurations(sample.rows, gt, plan)
         assert rows.to_dict() == dense.to_dict()
-        for entry in plan:
-            a = figure_similarity(sample.rows, gt, entry)
-            b = figure_similarity(x, gt, entry)
-            assert np.array_equal(a.values, b.values)
+        order = figure_item_order(gt)
+        for a, b in zip(rows.results, dense.results):
+            assert np.array_equal(figure_similarity(a, order).values,
+                                  figure_similarity(b, order).values)
 
     @pytest.mark.parametrize("entry", [
         PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(1, 100.0, 80, "collapse"),

@@ -156,6 +156,29 @@ class TestSolveAndSimilarity:
         assert "user-user" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, last", [
+        ("solve", "meta.json"), ("solve", "manifest.json"),
+        ("similarity", "similarity_item-item_cosine_obj1_identity.pgm"),
+        ("similarity", "manifest.json")])
+    def test_failed_write_leaves_none_of_its_files(
+            self, tmp_path, monkeypatch, capsys, command, last):
+        # the write of `last`, the export's last file or the manifest after
+        # it, fails after writing part of the file
+        for writer in ("write_json", "write_pgm"):
+            def failing(path, *args, real=getattr(io_utils, writer)):
+                if path.name != last:
+                    return real(path, *args)
+                path.write_bytes(b"{")
+                raise OSError(f"{last} write failed")
+
+            monkeypatch.setattr(io_utils, writer, failing)
+        cfg = write_config(tmp_path, {"solve": {"objective": 1,
+                                                "lambda": 10.0, "rank": 5}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"compute error: {last} write failed\n"
+        assert tree(out) == {}
+
 
 class TestStrictEntries:
     ENTRY = {"objective": 1, "lambda": 100.0, "rank": 8}
@@ -791,14 +814,14 @@ class TestAuditWorkers:
     def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
                                              capsys):
         parent = os.getpid()
-        real = analysis.solve_objective1
+        real = cli.write_similarity
 
-        def solve(X, rank, lam):
+        def write(*args, **kwargs):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(X, rank, lam)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "solve_objective1", solve)
+        monkeypatch.setattr(cli, "write_similarity", write)
         out = tmp_path / "out"
         code, err, forks = self.run(monkeypatch, capsys,
                                     self.config(tmp_path, self.PLAN), out, 2)
@@ -807,12 +830,31 @@ class TestAuditWorkers:
                             r"a result \(exit status -9\)\n", err)
         assert not list(out.iterdir())
 
+    def test_solvers_called_once_per_plan_entry(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the exports format the report pass's unit rows and solve nothing
+        calls = []
+        for objective in (1, 2):
+            real = getattr(analysis, f"solve_objective{objective}")
+
+            def solve(X, rank, lam, real=real, objective=objective):
+                calls.append((objective, lam, rank))
+                return real(X, rank, lam)
+
+            monkeypatch.setattr(analysis, f"solve_objective{objective}", solve)
+        code, _, forks = self.run(monkeypatch, capsys,
+                                  self.config(tmp_path, self.PLAN),
+                                  tmp_path / "out", 1)
+        assert (code, forks) == (0, 0)
+        assert calls == [(e["objective"], e["lambda"], e["rank"])
+                         for e in self.PLAN]
+
     def test_warnings_replayed_as_in_one_process(self, tmp_path, monkeypatch,
                                                  capsys):
         # steep popularity leaves items undrawn, so rank p keeps zero
         # sigma; lambda between the top two sigma leaves one dimension.
-        # Each worker's entries raise both warnings, in the report pass;
-        # the exports solve them again without a word.
+        # Every entry raises its warnings in the report pass; the exports
+        # only format that pass's unit rows, and raise none.
         sim = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
         sample, _ = sample_interactions(SimConfig.from_dict(sim))
         s = spectrum(sample.matrix).singular_values

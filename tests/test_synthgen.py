@@ -191,14 +191,14 @@ class TestInteractions:
         sample, _ = sample_interactions(cfg())
         m = sample.matrix
         assert set(np.unique(m)) <= {0.0, 1.0}
-        assert np.array_equal(m.sum(axis=1), sample.items_per_user)
-        assert np.all(sample.items_per_user >= 1)
+        assert np.array_equal(m.sum(axis=1), np.diff(sample.rows.indptr))
+        assert np.all(np.diff(sample.rows.indptr) >= 1)
 
     def test_activity_bounds(self):
         c = cfg()
         sample, _ = sample_interactions(c)
-        assert np.all(sample.items_per_user >= min(5, c.p))
-        assert np.all(sample.items_per_user <= c.p // 2)
+        assert np.all(np.diff(sample.rows.indptr) >= min(5, c.p))
+        assert np.all(np.diff(sample.rows.indptr) <= c.p // 2)
 
     def test_seed_determinism(self):
         s1, g1 = sample_interactions(cfg())
@@ -219,7 +219,7 @@ class TestInteractions:
         want, k_u, completed = _reference_sample(c)
         assert completed >= 1
         assert np.array_equal(sample.matrix, want)
-        assert np.array_equal(sample.items_per_user, k_u)
+        assert np.array_equal(np.diff(sample.rows.indptr), k_u)
 
     def test_rows_ascending(self):
         sample, _ = sample_interactions(
@@ -237,7 +237,7 @@ class TestInteractions:
         sample, gt = sample_interactions(c)
         weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
         positive = weights > 0
-        assert np.array_equal(sample.items_per_user, positive.sum(axis=1))
+        assert np.array_equal(np.diff(sample.rows.indptr), positive.sum(axis=1))
         assert np.all(positive[sample.matrix == 1])
 
     def test_inclusion_frequencies_match_successive_sampling(self):
@@ -247,7 +247,7 @@ class TestInteractions:
         c = SimConfig(n=200_000, p=10, C=1, cluster_probs=(1.0,),
                       beta_item_min=1.0, beta_item_max=1.0, seed=12)
         sample, gt = sample_interactions(c)
-        assert np.all(sample.items_per_user == 5)
+        assert np.all(np.diff(sample.rows.indptr) == 5)
         w = gt.item_popularity
         seqs = np.array(list(itertools.permutations(range(c.p), 5)))
         picked = np.cumsum(w[seqs], axis=1) - w[seqs]  # mass taken before
@@ -306,14 +306,10 @@ def test_figure_item_order_cluster_then_popularity():
         assert np.all(np.diff(pops[clusters == c]) <= 0)
 
 
-def test_interaction_sample_rejects_mismatched_counts():
-    # a real check, not an assert, so it holds under python -O too
+def test_interaction_sample_counts_and_matrix_come_from_rows():
     rows = BinaryRows(indptr=np.array([0, 1, 3, 3]),
                       indices=np.array([2, 0, 3]), shape=(3, 4))
-    with pytest.raises(ValueError):
-        InteractionSample(rows=rows, items_per_user=np.zeros(2))
-    with pytest.raises(ValueError):
-        InteractionSample(rows=rows, items_per_user=np.array([1, 1, 1]))
-    sample = InteractionSample(rows=rows, items_per_user=np.array([1, 2, 0]))
+    sample = InteractionSample(rows=rows)
+    assert np.array_equal(sample.items_per_user, [1, 2, 0])
     assert np.array_equal(sample.matrix, [[0, 0, 1, 0], [1, 0, 0, 1],
                                           [0, 0, 0, 0]])
