@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 import warnings
 from contextlib import contextmanager
@@ -123,6 +122,15 @@ def _resolve(args) -> Resolved:
                                  required=ENTRY_KEYS), f"plan[{i}]",
                    top if "plan" in cfg else None)
             for i, e in enumerate(cfg.get("plan", DEFAULT_PLAN))]
+    # an entry's exports are named by its label, in which lambda keeps 6
+    # significant digits: two different entries must not share one
+    first = {}
+    for j, entry in enumerate(plan):
+        i = first.setdefault(entry.label(), j)
+        if plan[i] != entry:
+            raise ConfigError(f"plan[{j}]", f"differs from plan[{i}] but "
+                                            "would write the same files, "
+                                            f"similarity_{entry.label()}.*")
     solve = check_section(cfg.get("solve", {}), "solve", SOLVE_KEYS)
     flags = {k: v for k, v in vars(args).items()
              if k in ("objective", "lambda", "rank", "family") and v is not None}
@@ -257,44 +265,23 @@ def _export_share(results, order, w: int, workers: int, out: Path):
     return None
 
 
-def _fork_share(results, order, w: int, workers: int, out: Path):
-    """(pid, read end of its pipe) of a child that sends back
-    `_export_share`'s return value, pickled. The child leaves through
-    os._exit, so no atexit handler or caller's `finally` runs in it."""
-    r, wfd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads forks; the only
-            # threads here are OpenBLAS's, whose own fork handlers stop them
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(wfd)
-        raise
+def _fork_share(results, order, w: int, workers: int, out: Path) -> int:
+    """pid of a child that runs `_export_share` and exits 0 if it returned
+    None, 1 otherwise. The child leaves through os._exit, so no atexit
+    handler or caller's `finally` runs in it."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with threads forks; the only
+        # threads here are OpenBLAS's, whose own fork handlers stop them
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            with open(wfd, "wb") as f:
-                pickle.dump(_export_share(results, order, w, workers, out), f)
-            code = 0
+            if _export_share(results, order, w, workers, out) is None:
+                code = 0
         finally:
             os._exit(code)
-    os.close(wfd)
-    return pid, r
-
-
-def _join_share(pid: int, fd: int, w: int):
-    """What the child sent on `fd`, once it is reaped. A child that died
-    first fails at its first entry, w."""
-    with open(fd, "rb") as f:
-        data = f.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data)
-    except Exception:
-        return w, OSError(f"plan worker {pid} ended without a result (exit "
-                          f"status {os.waitstatus_to_exitcode(status)})")
+    return pid
 
 
 def cmd_audit(args) -> int:
@@ -312,14 +299,17 @@ def cmd_audit(args) -> int:
     written = [out / f"similarity_{e.label()}{suffix}" for e in plan
                for suffix in SIMILARITY_SUFFIXES]
     with _removed_on_error(written):
-        children, failures = [], []
+        pids = []
         try:
             for w in range(1, workers):
-                children.append(_fork_share(results, order, w, workers, out))
-            failures.append(_export_share(results, order, 0, workers, out))
+                pids.append(_fork_share(results, order, w, workers, out))
+            failures = [_export_share(results, order, 0, workers, out)]
         finally:
-            failures += [_join_share(pid, fd, w)
-                         for w, (pid, fd) in enumerate(children, start=1)]
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        # the share of a child that failed or died is written again here,
+        # so its error, if any, is the one this process meets
+        failures += [_export_share(results, order, w, workers, out)
+                     for w, status in enumerate(statuses, start=1) if status]
         failed = [f for f in failures if f is not None]
         if failed:
             raise min(failed, key=lambda f: f[0])[1]

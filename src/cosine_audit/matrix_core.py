@@ -129,14 +129,13 @@ class Spectrum:
     """Singular values and right singular vectors of an n x p matrix X.
 
     `singular_values` holds the min(n, p) largest, descending, with every
-    value below `rank_tol` set to exactly 0; `right` holds the matching
-    columns of V under the sign convention of `svd`. Both closed forms
-    depend on X only through these.
+    value whose square is Gram rounding noise (GRAM_RANK_FACTOR) set to
+    exactly 0; `right` holds the matching columns of V under the sign
+    convention of `svd`. Both closed forms depend on X only through these.
     """
 
     singular_values: np.ndarray
     right: np.ndarray
-    rank_tol: float
 
     @property
     def rank(self) -> int:
@@ -183,8 +182,7 @@ def spectrum(m) -> Spectrum:
     w, v = w[::-1][:r], v[:, ::-1][:, :r]
     cut = max(w[0], 0.0) * max(n, p) * np.finfo(np.float64).eps * GRAM_RANK_FACTOR
     s = np.where(w > cut, np.sqrt(np.maximum(w, 0.0)), 0.0)
-    return Spectrum(singular_values=s, right=v * _fix_signs(v),
-                    rank_tol=float(np.sqrt(cut)))
+    return Spectrum(singular_values=s, right=v * _fix_signs(v))
 
 
 def svd(m: np.ndarray, r: int) -> SvdFactors:

@@ -201,19 +201,6 @@ def _cluster_tables(gt: GroundTruth, C: int):
     return order, starts, ends, cum_pop, totals
 
 
-def _first_above(cum: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    """For each i, the first j in [lo[i], hi[i]) with cum[j] > x[i], found by
-    bisection: searchsorted(side="right") on each row's own range of cum.
-    cum must be nondecreasing on each range and exceed x at its end."""
-    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        right = cum[mid] <= x
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(right, hi, mid)
-    return lo
-
-
 def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTruth]:
     """X and its ground truth: each user u picks k_u distinct items, with
     the successive-sampling law of the weights prefs[u, cluster] * popularity
@@ -249,11 +236,17 @@ def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTru
         # u * total may round up to total; the double below it falls in the
         # last cluster, and then the last item, of positive width
         x = np.minimum(u * total[user], np.nextafter(total[user], 0))
-        c = _first_above(cum_w.ravel(), user * C, user * C + C, x) - user * C
+        # the first cluster, and then the first item of it, whose
+        # cumulative weight is above the draw
+        c = np.count_nonzero(cum_w[user] <= x[:, None], axis=1)
         base = np.where(c > 0, cum_w[user, c - 1], 0.0)
         a = prefs[user, c]
         r = np.minimum((x - base) / a, np.nextafter(totals[c], 0))
-        j = _first_above(cum_pop, starts[c], ends[c], r)
+        j = np.empty_like(c)
+        for cl in range(C):
+            mine = c == cl
+            j[mine] = starts[cl] + np.searchsorted(
+                cum_pop[starts[cl]:ends[cl]], r[mine], side="right")
         valid = a * pop[j] > 0  # the weight, as user_item_probabilities has it
         user = user[valid]
         keys = (lo + user) * p + order[j[valid]]

@@ -503,6 +503,31 @@ class TestAudit:
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["audit", "simulate", "solve"])
+    def test_entries_sharing_an_export_name_exit_2(self, tmp_path, capsys,
+                                                   command):
+        # lambda is named to 6 significant digits: both are ..._lam1.23457e+06
+        plan = [{"objective": 1, "lambda": 1234567.0, "rank": 5},
+                {"objective": 1, "lambda": 2.0, "rank": 5},
+                {"objective": 1, "lambda": 1234568.0, "rank": 5}]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: plan[2]: differs from plan[0] but would write the "
+            "same files, similarity_obj1_lam1.23457e+06_k5_identity.*\n")
+        assert not out.exists()
+
+    def test_an_entry_listed_twice_runs(self, tmp_path):
+        plan = [self.plan()[0], self.plan()[1], self.plan()[0]]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [r["entry"] for r in report["results"]] == [
+            dict(e, family=e.get("family", "identity")) for e in plan]
+        assert len(list(out.glob("similarity_*"))) == 6
+
     def test_seed_flag_refuses_stale_x(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plan": self.plan()})
         out = tmp_path / "out"
@@ -811,24 +836,44 @@ class TestAuditWorkers:
         assert errs[1] == errs[0] == (
             f"compute error: disk full at entry {failing[0]}\n")
 
-    def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
-                                             capsys):
+    def as_one_process(self, tmp_path, monkeypatch, capsys, in_child):
+        """Runs `audit` on 1 and 2 CPUs with `in_child` called by each
+        export the forked worker writes; both must give exit 0 and the
+        same files and stderr."""
         parent = os.getpid()
         real = cli.write_similarity
 
         def write(*args, **kwargs):
             if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
+                in_child()
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "write_similarity", write)
-        out = tmp_path / "out"
-        code, err, forks = self.run(monkeypatch, capsys,
-                                    self.config(tmp_path, self.PLAN), out, 2)
-        assert (code, forks) == (3, 1)
-        assert re.fullmatch(r"compute error: plan worker \d+ ended without "
-                            r"a result \(exit status -9\)\n", err)
-        assert not list(out.iterdir())
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1, _ = self.run(monkeypatch, capsys, cfg, one, 1)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 1)
+        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert tree(two) == tree(one)
+        assert err2 == err1
+
+    def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
+                                             capsys):
+        # this process writes the dead child's share again
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.as_one_process(tmp_path, monkeypatch, capsys, die)
+
+    def test_export_failing_only_in_the_child(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the child exits 1; this process writes its share again, and
+        # that succeeds
+        def fail():
+            raise OSError("disk full in the child")
+
+        self.as_one_process(tmp_path, monkeypatch, capsys, fail)
 
     def test_solvers_called_once_per_plan_entry(self, tmp_path, monkeypatch,
                                                 capsys):

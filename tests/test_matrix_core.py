@@ -118,7 +118,10 @@ class TestSpectrum:
         return (u * s) @ v.T
 
     def test_sigma_above_tolerance_kept(self):
-        tol = spectrum(self.with_spectrum([1.0, 1.0, 1.0])).rank_tol
+        # sigma_1 = 1 and max(n, p) = 30: spectrum zeroes sigma^2 up to
+        # 30 eps GRAM_RANK_FACTOR
+        tol = np.sqrt(30 * np.finfo(np.float64).eps
+                      * matrix_core.GRAM_RANK_FACTOR)
         spec = spectrum(self.with_spectrum([1.0, 0.5, 10 * tol]))
         assert spec.rank == 3
         assert spec.singular_values[2] == pytest.approx(10 * tol, rel=0.05)
@@ -309,7 +312,6 @@ class TestBinaryRows:
         a, b = spectrum(simulated), spectrum(simulated.dense())
         assert np.array_equal(a.singular_values, b.singular_values)
         assert np.array_equal(a.right, b.right)
-        assert a.rank_tol == b.rank_tol
 
     @pytest.mark.parametrize("indptr, indices, shape", [
         ([0, 1], [0], (2, 3)),        # indptr too short
