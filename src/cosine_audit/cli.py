@@ -208,10 +208,13 @@ def cmd_simulate(args) -> int:
     sim_cfg, out = cfg.sim, cfg.out
     sample, gt = sample_interactions(sim_cfg)
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "X.csv", sample.rows)
-    write_json(out / "ground_truth.json", gt.to_dict())
-    write_json(out / SIM_RECORD, _sim_record(sim_cfg))
-    _write_manifest(cfg)
+    # no export may be left beside a record of another config
+    with _removed_on_error([out / f for f in ("X.csv", "ground_truth.json",
+                                              SIM_RECORD)]):
+        write_matrix_csv(out / "X.csv", sample.rows)
+        write_json(out / "ground_truth.json", gt.to_dict())
+        write_json(out / SIM_RECORD, _sim_record(sim_cfg))
+        _write_manifest(cfg)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
 
@@ -251,24 +254,20 @@ def cmd_similarity(args) -> int:
     return EXIT_OK
 
 
-def _export_share(results, order, w: int, workers: int, out: Path):
-    """Write the similarity exports of `results` w, w + workers, ... in
-    order until one fails; (index, error) of that one, or None."""
-    for i in range(w, len(results), workers):
-        entry = results[i].entry
-        try:
-            write_similarity(out, f"similarity_{entry.label()}",
-                             figure_similarity(results[i], order),
-                             provenance=entry.to_dict())
-        except Exception as e:
-            return i, e
-    return None
+def _export(results, order, out: Path) -> None:
+    """Write the similarity exports of `results`, in order; the first
+    failed one raises."""
+    for result in results:
+        entry = result.entry
+        write_similarity(out, f"similarity_{entry.label()}",
+                         figure_similarity(result, order),
+                         provenance=entry.to_dict())
 
 
-def _fork_share(results, order, w: int, workers: int, out: Path) -> int:
-    """pid of a child that runs `_export_share` and exits 0 if it returned
-    None, 1 otherwise. The child leaves through os._exit, so no atexit
-    handler or caller's `finally` runs in it."""
+def _fork_share(results, order, out: Path) -> int:
+    """pid of a child that runs `_export` and exits 0 if it returned, 1
+    otherwise. The child leaves through os._exit, so no atexit handler or
+    caller's `finally` runs in it."""
     with warnings.catch_warnings():
         # Python 3.12+ warns when a process with threads forks; the only
         # threads here are OpenBLAS's, whose own fork handlers stop them
@@ -277,8 +276,8 @@ def _fork_share(results, order, w: int, workers: int, out: Path) -> int:
     if pid == 0:
         code = 1
         try:
-            if _export_share(results, order, w, workers, out) is None:
-                code = 0
+            _export(results, order, out)
+            code = 0
         finally:
             os._exit(code)
     return pid
@@ -291,28 +290,29 @@ def cmd_audit(args) -> int:
     # the report, its warnings and its first compute error, before any
     # file is written; the exports format its unit rows
     report = compare_configurations(X, gt, plan)
-    results, order = report.results, figure_item_order(gt)
-    # worker w exports results[w::workers]; worker 0 is this process
+    order = figure_item_order(gt)
+    # an entry listed twice has one label and one set of files
+    distinct = list({r.entry.label(): r for r in report.results}.values())
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(len(plan), cpus) if hasattr(os, "fork") else 1
-    written = [out / f"similarity_{e.label()}{suffix}" for e in plan
+    workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1
+    written = [out / f"similarity_{r.entry.label()}{suffix}" for r in distinct
                for suffix in SIMILARITY_SUFFIXES]
     with _removed_on_error(written):
-        pids = []
-        try:
-            for w in range(1, workers):
-                pids.append(_fork_share(results, order, w, workers, out))
-            failures = [_export_share(results, order, 0, workers, out)]
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        # the share of a child that failed or died is written again here,
-        # so its error, if any, is the one this process meets
-        failures += [_export_share(results, order, w, workers, out)
-                     for w, status in enumerate(statuses, start=1) if status]
-        failed = [f for f in failures if f is not None]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
+        if workers == 1:
+            _export(distinct, order, out)
+        else:
+            pids = []
+            try:
+                for w in range(workers):
+                    pids.append(_fork_share(distinct[w::workers], order, out))
+            finally:
+                statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+            # the entries of a child that failed or died are written again
+            # here in plan order, so the error, if any, is the first one a
+            # single process meets
+            _export([r for i, r in enumerate(distinct)
+                     if statuses[i % workers]], order, out)
         # the ground truth in figure order: 1 where two items share a cluster
         cluster = gt.item_cluster[order]
         written.append(out / "ground_truth.pgm")

@@ -68,6 +68,28 @@ class TestSimulate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "C" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("last", ["X.csv", "ground_truth.json",
+                                      "X.sim.json", "manifest.json"])
+    def test_failed_rerun_leaves_no_export_beside_another_record(
+            self, tmp_path, monkeypatch, capsys, last):
+        # a rerun at another seed fails at `last`, after writing part of it
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for module, writer in ((cli, "write_matrix_csv"), (cli, "write_json"),
+                               (io_utils, "write_json")):
+            def failing(path, *args, real=getattr(module, writer)):
+                if path.name != last:
+                    return real(path, *args)
+                path.write_bytes(b"{")
+                raise OSError(f"{last} write failed")
+
+            monkeypatch.setattr(module, writer, failing)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", "2"]) == 3
+        assert capsys.readouterr().err == f"compute error: {last} write failed\n"
+        assert set(tree(out)) <= {"manifest.json"}
+
     def test_bare_sim_config_refused(self, tmp_path, capsys):
         # a top-level object holding the sim keys is not a second format
         cfg = tmp_path / "sim.json"
@@ -695,10 +717,13 @@ class TestAudit:
 
 
 class TestAuditWorkers:
-    """`audit` computes its report in the calling process, then writes the
-    exports of plan[w::W] in worker w, W = min(plan entries, usable CPUs);
-    worker 0 is the calling process and the others are forked. Every
-    output and stderr must be those of a one-process run."""
+    """`audit` computes its report in the calling process, then exports
+    each distinct plan entry once. With W = min(distinct entries, usable
+    CPUs) of 2 or more, forked child w writes distinct[w::W] while the
+    calling process only waits; it then writes again, in plan order, the
+    entries of each child that failed or died. With W = 1 the calling
+    process writes them all. Every output and stderr must be those of a
+    one-process run."""
 
     SIM = dict(SIM, n=2_000, p=200, C=5, cluster_probs=[0.2] * 5)
     PLAN = [{"objective": 1, "lambda": 1000.0, "rank": 20, "family": f}
@@ -737,7 +762,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, forks1 = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks2 = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, forks1, code2, forks2) == (0, 0, 0, 1)
+        assert (code1, forks1, code2, forks2) == (0, 0, 0, 2)
         files = tree(one)
         assert len(files) == 3 * len(self.PLAN) + 3
         assert tree(two) == files
@@ -748,7 +773,7 @@ class TestAuditWorkers:
         cfg = self.config(tmp_path, self.PLAN[:2])
         code, _, forks = self.run(monkeypatch, capsys, cfg,
                                   tmp_path / "out", 8)
-        assert (code, forks) == (0, 1)
+        assert (code, forks) == (0, 2)
 
     def test_one_process_where_fork_is_missing(self, tmp_path,
                                                monkeypatch):
@@ -812,8 +837,9 @@ class TestAuditWorkers:
     @pytest.mark.parametrize("failing", [[2], [3], [3, 4]])
     def test_failed_export_as_in_one_process(self, tmp_path, monkeypatch,
                                              capsys, failing):
-        # with 2 workers, entries 2 and 4 are this process's and entry 3
-        # the child's; the lowest failing index is reported
+        # with 2 workers, child 0 exports entries 0, 2 and 4 and child 1
+        # entries 1 and 3; this process writes each failed child's entries
+        # again in plan order, so the lowest failing index is reported
         real = cli.write_similarity
         plan = [dict(self.PLAN[0], rank=r) for r in range(5, 10)]
         labels = {f"similarity_obj1_lam1000_k{5 + i}_collapse": i
@@ -830,7 +856,7 @@ class TestAuditWorkers:
         for cpus in (1, 2):
             out = tmp_path / f"cpus{cpus}"
             code, err, forks = self.run(monkeypatch, capsys, cfg, out, cpus)
-            assert (code, forks) == (3, cpus - 1)
+            assert (code, forks) == (3, {1: 0, 2: 2}[cpus])
             assert not list(out.iterdir())
             errs.append(err)
         assert errs[1] == errs[0] == (
@@ -838,8 +864,9 @@ class TestAuditWorkers:
 
     def as_one_process(self, tmp_path, monkeypatch, capsys, in_child):
         """Runs `audit` on 1 and 2 CPUs with `in_child` called by each
-        export the forked worker writes; both must give exit 0 and the
-        same files and stderr."""
+        export a forked child writes; on 2 CPUs every child meets it, and
+        this process writes their entries again. Both runs must give exit
+        0 and the same files and stderr."""
         parent = os.getpid()
         real = cli.write_similarity
 
@@ -853,14 +880,14 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, _ = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 1)
+        assert (code1, code2, forks) == (0, 0, 2)
         assert len(tree(one)) == 3 * len(self.PLAN) + 3
         assert tree(two) == tree(one)
         assert err2 == err1
 
     def test_worker_killed_before_it_reports(self, tmp_path, monkeypatch,
                                              capsys):
-        # this process writes the dead child's share again
+        # this process writes the dead children's entries again
         def die():
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -868,12 +895,38 @@ class TestAuditWorkers:
 
     def test_export_failing_only_in_the_child(self, tmp_path, monkeypatch,
                                               capsys):
-        # the child exits 1; this process writes its share again, and
-        # that succeeds
+        # each child exits 1; this process writes their entries again,
+        # and that succeeds
         def fail():
             raise OSError("disk full in the child")
 
         self.as_one_process(tmp_path, monkeypatch, capsys, fail)
+
+    def test_an_entry_listed_twice_is_exported_once(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the children are other processes: each write is appended to a log
+        log = tmp_path / "written.log"
+        real = cli.write_similarity
+
+        def write(out, name, sim, provenance):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{name}\n".encode())
+            finally:
+                os.close(fd)
+            real(out, name, sim, provenance)
+
+        monkeypatch.setattr(cli, "write_similarity", write)
+        e0, e1 = self.PLAN[:2]
+        out = tmp_path / "out"
+        code, _, forks = self.run(monkeypatch, capsys,
+                                  self.config(tmp_path, [e0, e1, e0]), out, 2)
+        assert (code, forks) == (0, 2)
+        assert sorted(log.read_text().splitlines()) == [
+            "similarity_obj1_lam1000_k20_collapse",
+            "similarity_obj1_lam1000_k20_identity"]
+        assert len(json.loads((out / "report.json").read_text())["results"]) == 3
+        assert len(tree(out)) == 6 + 3
 
     def test_solvers_called_once_per_plan_entry(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -913,7 +966,7 @@ class TestAuditWorkers:
                                   tmp_path / "one", 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg,
                                       tmp_path / "two", 2)
-        assert (code1, code2, forks) == (0, 0, 1)
+        assert (code1, code2, forks) == (0, 0, 2)
         assert err2 == err1
         # entry 1's zero-sigma warning repeats entry 0's and is dropped
         lines = err1.splitlines()
