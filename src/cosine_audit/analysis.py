@@ -318,10 +318,10 @@ def compare_configurations(X, gt: GroundTruth,
                            plan: list[PlanEntry]) -> AuditReport:
     """One cluster contrast per plan entry, in plan order.
 
-    X is a dense matrix or `BinaryRows`. Its spectrum is taken once and
-    shared by every entry.
+    X is a dense matrix, `BinaryRows` or its `Spectrum`. Its spectrum is
+    taken once and shared by every entry.
     """
-    spec = spectrum(X)
+    spec = X if isinstance(X, Spectrum) else spectrum(X)
     # one-hot cluster rows: their cosines are ground_truth_similarity(gt)
     clusters = gt.item_cluster
     one_hot = np.eye(clusters.max() + 1)[clusters]

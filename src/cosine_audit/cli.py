@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
 import sys
 import warnings
@@ -28,11 +29,12 @@ from .errors import ConfigError, check_section
 from .io_utils import (SIMILARITY_SUFFIXES, read_json, write_embedding_pair,
                        write_json, write_manifest, write_matrix_csv,
                        write_pgm, write_similarity)
+from .matrix_core import Spectrum, spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
 from .synthgen import (SAMPLER, SimConfig, figure_item_order,
-                       sample_interactions)
+                       sample_ground_truth, sample_interactions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,35 +156,32 @@ def _resolve(args) -> Resolved:
 
 
 @contextmanager
-def _removed_on_error(paths: list[Path]):
-    """Unlink `paths`, and any the block appends to it, if the block raises."""
+def _writing(cfg: Resolved, paths: list[Path]):
+    """A command's writes into cfg.out, then manifest.json: the whole
+    resolved config, flags applied, its hash, the seed and the version, and
+    no timings, so reruns match. The last run's manifest.json goes first;
+    if the block or the manifest raises, `paths` and manifest.json go."""
+    manifest = cfg.out / "manifest.json"
+    manifest.unlink(missing_ok=True)
     try:
         yield
+        solve = {**cfg.solve.to_dict(), "standardize": cfg.standardize}
+        config = {"sim": cfg.sim.to_dict(), "solve": solve,
+                  "plan": [e.to_dict() for e in cfg.plan]}
+        write_manifest(cfg.out, config, cfg.sim.seed, __version__)
     except Exception:
-        for f in paths:
+        for f in paths + [manifest]:
             f.unlink(missing_ok=True)
         raise
-
-
-def _write_manifest(cfg: Resolved) -> None:
-    """manifest.json: the whole resolved config, flags applied, its hash,
-    the seed and the version. It holds no timings, so reruns match."""
-    config = {"sim": cfg.sim.to_dict(),
-              "plan": [e.to_dict() for e in cfg.plan],
-              "solve": {**cfg.solve.to_dict(), "standardize": cfg.standardize}}
-    with _removed_on_error([cfg.out / "manifest.json"]):
-        write_manifest(cfg.out, config, cfg.sim.seed, __version__)
 
 
 def _sim_record(sim_cfg: SimConfig) -> dict:
     return {**sim_cfg.to_dict(), "sampler": SAMPLER}
 
 
-def _draw(out: Path, sim_cfg: SimConfig):
-    """(X as `BinaryRows`, ground truth), drawn from `sim_cfg`; `out` is made
-    once the draw succeeds. An `out` holding an X.csv or ground_truth.json
-    whose record is missing or names another config is refused first: its
-    exports would sit beside outputs of another X."""
+def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
+    """Refuse an `out` whose X.csv or ground_truth.json has no record of this
+    config: its exports would sit beside outputs of another X."""
     x_path = out / "X.csv"
     if x_path.exists() or (out / "ground_truth.json").exists():
         try:
@@ -198,6 +197,11 @@ def _draw(out: Path, sim_cfg: SimConfig):
             raise ConfigError("sim", f"{x_path} was not simulated from this "
                                      f"config ({diff}); use another --out or "
                                      "rerun simulate")
+
+
+def _draw(out: Path, sim_cfg: SimConfig):
+    """(X as `BinaryRows`, ground truth) of `sim_cfg`, then `out` is made."""
+    _refuse_stale(out, sim_cfg)
     sample, gt = sample_interactions(sim_cfg)
     out.mkdir(parents=True, exist_ok=True)
     return sample.rows, gt
@@ -209,12 +213,11 @@ def cmd_simulate(args) -> int:
     sample, gt = sample_interactions(sim_cfg)
     out.mkdir(parents=True, exist_ok=True)
     # no export may be left beside a record of another config
-    with _removed_on_error([out / f for f in ("X.csv", "ground_truth.json",
-                                              SIM_RECORD)]):
+    with _writing(cfg, [out / f for f in ("X.csv", "ground_truth.json",
+                                          SIM_RECORD)]):
         write_matrix_csv(out / "X.csv", sample.rows)
         write_json(out / "ground_truth.json", gt.to_dict())
         write_json(out / SIM_RECORD, _sim_record(sim_cfg))
-        _write_manifest(cfg)
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
 
@@ -226,9 +229,8 @@ def cmd_solve(args) -> int:
     pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
                             entry)
     pair_dir = out / f"pair_obj{entry.objective}"
-    with _removed_on_error([pair_dir / f for f in ("A.csv", "B.csv", "meta.json")]):
+    with _writing(cfg, [pair_dir / f for f in ("A.csv", "B.csv", "meta.json")]):
         write_embedding_pair(pair_dir, pair)
-        _write_manifest(cfg)
     print(f"wrote embedding pair to {pair_dir}")
     return EXIT_OK
 
@@ -246,10 +248,9 @@ def cmd_similarity(args) -> int:
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
     name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
             f"_{entry.family}")
-    with _removed_on_error([out / (name + suffix)
-                            for suffix in SIMILARITY_SUFFIXES]):
+    with _writing(cfg, [out / (name + suffix)
+                        for suffix in SIMILARITY_SUFFIXES]):
         write_similarity(out, name, sim, entry.to_dict())
-        _write_manifest(cfg)
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 
@@ -264,10 +265,9 @@ def _export(results, order, out: Path) -> None:
                          provenance=entry.to_dict())
 
 
-def _fork_share(results, order, out: Path) -> int:
-    """pid of a child that runs `_export` and exits 0 if it returned, 1
-    otherwise. The child leaves through os._exit, so no atexit handler or
-    caller's `finally` runs in it."""
+def _forked(fn) -> int:
+    """pid of a child that runs `fn` and leaves by os._exit, 0 if it returned
+    and 1 otherwise, so no atexit handler or caller's `finally` runs."""
     with warnings.catch_warnings():
         # Python 3.12+ warns when a process with threads forks; the only
         # threads here are OpenBLAS's, whose own fork handlers stop them
@@ -276,20 +276,47 @@ def _fork_share(results, order, out: Path) -> int:
     if pid == 0:
         code = 1
         try:
-            _export(results, order, out)
+            warnings.simplefilter("error")  # unprinted; the caller redoes fn
+            fn()
             code = 0
         finally:
             os._exit(code)
     return pid
 
 
+def _audit_input(out: Path, sim_cfg: SimConfig):
+    """`_draw`, but (spectrum of X, ground truth). A forked child draws X and
+    counts its Gram (no BLAS) into a shared mapping, so this process's eigh
+    does not sit on the sampler's memory; without fork or the mapping, or if
+    the child fails or dies, this process runs `_draw` and meets its errors."""
+    _refuse_stale(out, sim_cfg)
+    p, gram = sim_cfg.p, None
+    try:
+        shared = mmap.mmap(-1, 8 * p * p) if hasattr(os, "fork") else None
+    except (OSError, OverflowError):
+        shared = None
+    if shared is not None:
+        with shared:
+            def count():
+                np.frombuffer(shared).reshape(p, p)[:] = (
+                    sample_interactions(sim_cfg)[0].rows.gram())
+            if os.waitpid(_forked(count), 0)[1] == 0:
+                gram = np.frombuffer(shared).reshape(p, p).copy()
+    if gram is None:
+        X, gt = _draw(out, sim_cfg)
+        return spectrum(X), gt
+    out.mkdir(parents=True, exist_ok=True)
+    spec = Spectrum.of_gram(gram, sim_cfg.n)
+    return spec, sample_ground_truth(sim_cfg)  # imports numpy.random: after eigh
+
+
 def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
-    X, gt = _draw(out, sim_cfg)
+    spec, gt = _audit_input(out, sim_cfg)
     # the report, its warnings and its first compute error, before any
     # file is written; the exports format its unit rows
-    report = compare_configurations(X, gt, plan)
+    report = compare_configurations(spec, gt, plan)
     order = figure_item_order(gt)
     # an entry listed twice has one label and one set of files
     distinct = list({r.entry.label(): r for r in report.results}.values())
@@ -298,14 +325,15 @@ def cmd_audit(args) -> int:
     workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1
     written = [out / f"similarity_{r.entry.label()}{suffix}" for r in distinct
                for suffix in SIMILARITY_SUFFIXES]
-    with _removed_on_error(written):
+    with _writing(cfg, written):
         if workers == 1:
             _export(distinct, order, out)
         else:
             pids = []
             try:
                 for w in range(workers):
-                    pids.append(_fork_share(distinct[w::workers], order, out))
+                    pids.append(_forked(lambda share=distinct[w::workers]:
+                                        _export(share, order, out)))
             finally:
                 statuses = [os.waitpid(pid, 0)[1] for pid in pids]
             # the entries of a child that failed or died are written again
@@ -320,7 +348,6 @@ def cmd_audit(args) -> int:
                   cluster[:, None] == cluster[None, :], 0.0, 1.0)
         written.append(out / "report.json")
         write_json(out / "report.json", report.to_dict())
-        _write_manifest(cfg)
     print(f"audit complete: {len(report.results)} plan entries, "
           f"report at {out / 'report.json'}")
     return EXIT_OK
@@ -340,8 +367,8 @@ def cmd_fullrank_check(args) -> int:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
     X, _ = _draw(out, cfg.sim)
     audit = audit_full_rank(X, cfg.solve.lam)
-    write_json(out / "fullrank_report.json", audit.to_dict())
-    _write_manifest(cfg)
+    with _writing(cfg, [out / "fullrank_report.json"]):
+        write_json(out / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))
         print(f"identity check failed: {first.name} "

@@ -7,7 +7,6 @@ for float64 and reruns are byte-identical.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from pathlib import Path
 
@@ -283,6 +282,7 @@ def read_embedding_pair(in_dir) -> EmbeddingPair:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # here: its 3.5 MB of OpenSSL would sit under audit's eigh
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -28,8 +28,8 @@ ZERO_NORM_RELATIVE = 1e-12
 # so a true zero singular value comes back near sqrt(max(n, p) * eps) * sigma_1.
 GRAM_RANK_FACTOR = 10.0
 # (column, column) pairs counted per chunk of BinaryRows.gram, which keeps
-# its index temporaries to about 10 MB
-GRAM_PAIRS_PER_CHUNK = 1 << 18
+# its index temporaries to about 1 MB
+GRAM_PAIRS_PER_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class BinaryRows:
         """X^T X as float64: entry (i, j) counts the rows holding both i and j.
 
         Each one pairs with every one of its row; the pairs are counted a
-        chunk at a time. Integer counts make it bit-identical to the dense
-        product, whose partial sums are all exact integers too.
+        chunk at a time, straight into float64: every count is an integer
+        below 2^53, exact as the dense product's partial sums are.
         """
         p, nnz = self.shape[1], self.indices.shape[0]
         lengths = np.diff(self.indptr)
@@ -85,14 +85,14 @@ class BinaryRows:
         # chunks of ones whose first pairs fall in one budget-sized range
         bounds = np.unique(np.append(np.searchsorted(
             first, np.arange(0, per_one.sum(), GRAM_PAIRS_PER_CHUNK)), nnz))
-        counts = np.zeros(p * p, dtype=np.int64)
+        counts = np.zeros(p * p)
         for a, b in zip(bounds[:-1], bounds[1:]):
             k = per_one[a:b]
             within = np.arange(k.sum()) - np.repeat(first[a:b] - first[a], k)
             pairs = np.repeat(self.indices[a:b] * p, k)
             pairs += self.indices[np.repeat(row_start[a:b], k) + within]
-            np.add.at(counts, pairs, 1)
-        return counts.reshape(p, p).astype(np.float64)
+            np.add.at(counts, pairs, 1.0)  # an int 1 runs 6x slower
+        return counts.reshape(p, p)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,17 @@ class Spectrum:
                 RuntimeWarning, stacklevel=3)
         return s, self.right[:, :k]
 
+    @classmethod
+    def of_gram(cls, gram: np.ndarray, n: int) -> "Spectrum":
+        """The spectrum of an n-row matrix X from its p x p Gram X^T X."""
+        p = gram.shape[0]
+        w, v = np.linalg.eigh(gram)
+        r = min(n, p)
+        w, v = w[::-1][:r], v[:, ::-1][:, :r]
+        cut = max(w[0], 0.0) * max(n, p) * np.finfo(np.float64).eps * GRAM_RANK_FACTOR
+        s = np.where(w > cut, np.sqrt(np.maximum(w, 0.0)), 0.0)
+        return cls(singular_values=s, right=v * _fix_signs(v))
+
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its entry of largest magnitude is positive."""
@@ -172,17 +183,9 @@ def spectrum(m) -> Spectrum:
     Gram is formed from its indices without the dense n x p matrix.
     """
     if isinstance(m, BinaryRows):
-        gram = m.gram()
-    else:
-        m = as_matrix(m)
-        gram = m.T @ m
-    n, p = m.shape
-    w, v = np.linalg.eigh(gram)
-    r = min(n, p)
-    w, v = w[::-1][:r], v[:, ::-1][:, :r]
-    cut = max(w[0], 0.0) * max(n, p) * np.finfo(np.float64).eps * GRAM_RANK_FACTOR
-    s = np.where(w > cut, np.sqrt(np.maximum(w, 0.0)), 0.0)
-    return Spectrum(singular_values=s, right=v * _fix_signs(v))
+        return Spectrum.of_gram(m.gram(), m.shape[0])
+    m = as_matrix(m)
+    return Spectrum.of_gram(m.T @ m, m.shape[0])
 
 
 def svd(m: np.ndarray, r: int) -> SvdFactors:

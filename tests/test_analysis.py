@@ -377,6 +377,12 @@ class TestCompareConfigurations:
             assert np.array_equal(figure_similarity(a, order).values,
                                   figure_similarity(b, order).values)
 
+    def test_a_spectrum_gives_the_report_of_its_x(self, desk_data):
+        x, gt = desk_data
+        plan = [PlanEntry(1, 1000.0, 10, "collapse"), PlanEntry(2, 5.0, 10)]
+        assert (compare_configurations(spectrum(x), gt, plan)
+                == compare_configurations(x, gt, plan))
+
     @pytest.mark.parametrize("entry", [
         PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(1, 100.0, 80, "collapse"),
         PlanEntry(2, 5.0, 10)])

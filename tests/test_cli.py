@@ -1,13 +1,16 @@
+import errno
 import json
+import mmap
 import os
 import re
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from cosine_audit import __version__, analysis, cli, io_utils
+from cosine_audit import __version__, analysis, cli, io_utils, synthgen
 from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.io_utils import config_hash, read_matrix_csv
@@ -685,10 +688,10 @@ class TestAudit:
 
     def test_failure_at_the_manifest_removes_the_report(self, tmp_path,
                                                          monkeypatch):
-        def failing(cfg):
+        def failing(*args):
             raise OSError("manifest write failed")
 
-        monkeypatch.setattr(cli, "_write_manifest", failing)
+        monkeypatch.setattr(cli, "write_manifest", failing)
         plan = [{"objective": 1, "lambda": 10.0, "rank": 30}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"
@@ -717,13 +720,15 @@ class TestAudit:
 
 
 class TestAuditWorkers:
-    """`audit` computes its report in the calling process, then exports
-    each distinct plan entry once. With W = min(distinct entries, usable
-    CPUs) of 2 or more, forked child w writes distinct[w::W] while the
-    calling process only waits; it then writes again, in plan order, the
-    entries of each child that failed or died. With W = 1 the calling
-    process writes them all. Every output and stderr must be those of a
-    one-process run."""
+    """`audit` forks one child that draws X and counts its Gram; the
+    calling process decomposes it and draws X itself only if that child
+    failed or died. It then computes its report, and exports each distinct
+    plan entry once. With W = min(distinct entries, usable CPUs) of 2 or
+    more, forked child w writes distinct[w::W] while the calling process
+    only waits; it then writes again, in plan order, the entries of each
+    child that failed or died. With W = 1 the calling process writes them
+    all. Every output and stderr must be those of a run where os.fork is
+    missing, which is one process."""
 
     SIM = dict(SIM, n=2_000, p=200, C=5, cluster_probs=[0.2] * 5)
     PLAN = [{"objective": 1, "lambda": 1000.0, "rank": 20, "family": f}
@@ -751,6 +756,18 @@ class TestAuditWorkers:
             os.waitpid(-1, os.WNOHANG)
         return code, capsys.readouterr().err, len(forks)
 
+    @staticmethod
+    def one_process(monkeypatch, capsys, cfg, out):
+        """(exit code, stderr) of `audit` on 2 CPUs where os.fork is
+        missing."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                      raising=False)
+            m.delattr(os, "fork")
+            capsys.readouterr()
+            code = main(["audit", "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr().err
+
     def config(self, tmp_path, plan, sim=None):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"sim": sim or self.SIM, "plan": plan}))
@@ -762,7 +779,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, forks1 = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks2 = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, forks1, code2, forks2) == (0, 0, 0, 2)
+        assert (code1, forks1, code2, forks2) == (0, 1, 0, 3)
         files = tree(one)
         assert len(files) == 3 * len(self.PLAN) + 3
         assert tree(two) == files
@@ -773,16 +790,90 @@ class TestAuditWorkers:
         cfg = self.config(tmp_path, self.PLAN[:2])
         code, _, forks = self.run(monkeypatch, capsys, cfg,
                                   tmp_path / "out", 8)
-        assert (code, forks) == (0, 2)
+        assert (code, forks) == (0, 3)
 
     def test_one_process_where_fork_is_missing(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.delattr(os, "fork")
+                                               monkeypatch, capsys):
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 3)
+        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert tree(two) == tree(one)
+        assert err2 == err1
+
+    def draw_redone_here(self, tmp_path, monkeypatch, capsys, in_child):
+        """Runs `audit` with `in_child` called by the draw of the forked
+        draw child, so this process draws X again. The run must give the
+        files, stderr and exit code of one where os.fork is missing."""
+        parent = os.getpid()
+        real = cli.sample_interactions
+        drawn_here = []
+
+        def draw(sim_cfg):
+            if os.getpid() != parent:
+                in_child()
+            drawn_here.append(sim_cfg.seed)
+            return real(sim_cfg)
+
+        monkeypatch.setattr(cli, "sample_interactions", draw)
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 3)
+        assert drawn_here == [self.SIM["seed"]] * 2
+        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert tree(two) == tree(one)
+        assert err2 == err1
+
+    def test_draw_child_killed(self, tmp_path, monkeypatch, capsys):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.draw_redone_here(tmp_path, monkeypatch, capsys, die)
+
+    def test_draw_failing_only_in_the_child(self, tmp_path, monkeypatch,
+                                            capsys):
+        def fail():
+            raise MemoryError("out of memory in the child")
+
+        self.draw_redone_here(tmp_path, monkeypatch, capsys, fail)
+
+    def test_no_room_for_the_gram_mapping(self, tmp_path, monkeypatch,
+                                          capsys):
+        # this process draws X itself, as where os.fork is missing
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+
+        def no_room(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_room)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 2)
+        assert tree(two) == tree(one)
+        assert err2 == err1
+
+    def test_ground_truth_warning_printed_once(self, tmp_path, monkeypatch,
+                                               capfd):
+        # the draw child and this process both draw the ground truth; a
+        # warning fails the child, which prints nothing, and this process
+        # draws X again, printing it once, as one process does
+        real = synthgen.sample_ground_truth
+
+        def draw(sim_cfg):
+            warnings.warn("the ground truth warns", RuntimeWarning)
+            return real(sim_cfg)
+
+        monkeypatch.setattr(synthgen, "sample_ground_truth", draw)
+        monkeypatch.setattr(cli, "sample_ground_truth", draw)
         cfg = self.config(tmp_path, self.PLAN[:2])
         assert main(["audit", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
+        assert capfd.readouterr().err == "warning: the ground truth warns\n"
 
     @pytest.mark.parametrize("error, exit_code", [
         (np.linalg.LinAlgError("eigenvalues did not converge"), 3),
@@ -830,7 +921,7 @@ class TestAuditWorkers:
         out = tmp_path / "out"
         code, err, forks = self.run(monkeypatch, capsys,
                                     self.config(tmp_path, plan), out, 2)
-        assert (code, forks) == (3, 0)
+        assert (code, forks) == (3, 1)
         assert err == "compute error: rank 8 failed\n"
         assert not list(out.iterdir())
 
@@ -856,7 +947,7 @@ class TestAuditWorkers:
         for cpus in (1, 2):
             out = tmp_path / f"cpus{cpus}"
             code, err, forks = self.run(monkeypatch, capsys, cfg, out, cpus)
-            assert (code, forks) == (3, {1: 0, 2: 2}[cpus])
+            assert (code, forks) == (3, {1: 1, 2: 3}[cpus])
             assert not list(out.iterdir())
             errs.append(err)
         assert errs[1] == errs[0] == (
@@ -880,7 +971,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, _ = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 2)
+        assert (code1, code2, forks) == (0, 0, 3)
         assert len(tree(one)) == 3 * len(self.PLAN) + 3
         assert tree(two) == tree(one)
         assert err2 == err1
@@ -921,7 +1012,7 @@ class TestAuditWorkers:
         out = tmp_path / "out"
         code, _, forks = self.run(monkeypatch, capsys,
                                   self.config(tmp_path, [e0, e1, e0]), out, 2)
-        assert (code, forks) == (0, 2)
+        assert (code, forks) == (0, 3)
         assert sorted(log.read_text().splitlines()) == [
             "similarity_obj1_lam1000_k20_collapse",
             "similarity_obj1_lam1000_k20_identity"]
@@ -943,7 +1034,7 @@ class TestAuditWorkers:
         code, _, forks = self.run(monkeypatch, capsys,
                                   self.config(tmp_path, self.PLAN),
                                   tmp_path / "out", 1)
-        assert (code, forks) == (0, 0)
+        assert (code, forks) == (0, 1)
         assert calls == [(e["objective"], e["lambda"], e["rank"])
                          for e in self.PLAN]
 
@@ -966,7 +1057,7 @@ class TestAuditWorkers:
                                   tmp_path / "one", 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg,
                                       tmp_path / "two", 2)
-        assert (code1, code2, forks) == (0, 0, 2)
+        assert (code1, code2, forks) == (0, 0, 3)
         assert err2 == err1
         # entry 1's zero-sigma warning repeats entry 0's and is dropped
         lines = err1.splitlines()
@@ -1090,6 +1181,43 @@ class TestManifest:
         # no timings: a rerun writes the same bytes
         assert ((outs[0] / "manifest.json").read_bytes()
                 == (outs[1] / "manifest.json").read_bytes())
+
+    @pytest.mark.parametrize("command, last", [("simulate", "ground_truth.json"),
+                                               ("audit", "report.json")])
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch,
+                                             capsys, command, last):
+        # the rerun at seed 2 fails at `last`: a manifest.json left behind
+        # would name seed 11 and outputs that are gone
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        real = cli.write_json
+
+        def failing(path, doc):
+            if path.name == last:
+                raise OSError(f"{last} write failed")
+            real(path, doc)
+
+        monkeypatch.setattr(cli, "write_json", failing)
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--seed", "2"]) == 3
+        assert capsys.readouterr().err == f"compute error: {last} write failed\n"
+        assert not (out / "manifest.json").exists()
+
+    def test_rerun_failing_before_its_writes_keeps_the_last_run(
+            self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        last_run = tree(out)
+
+        def solve(X, rank, lam):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(analysis, "solve_objective1", solve)
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "2"]) == 3
+        assert tree(out) == last_run
 
     def test_flags_and_defaults_are_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"plan": [ENTRY],
