@@ -105,8 +105,8 @@ def _entry(fields: dict, where: str, max_rank: int | None) -> PlanEntry:
 
 def _resolve(args) -> Resolved:
     """Read the config file once and check every section of it, whichever
-    the subcommand reads; a ConfigError names the first offending key.
-    Nothing is written before this returns."""
+    the subcommand reads, then the output directory; a ConfigError names
+    the first offending key. Nothing is written before this returns."""
     cfg = {}
     if args.config is not None:
         try:
@@ -150,18 +150,25 @@ def _resolve(args) -> Resolved:
         if args.command in ("solve", "similarity") and "rank" not in fields:
             raise ConfigError("solve.rank", "not set by the file or --rank, "
                                             f"and the built-in rank {bound}")
+    out = Path(args.out or output.get("dir", "."))
+    if out.exists() and not out.is_dir():
+        raise ConfigError("output.dir", f"{out} exists and is not a directory")
+    if args.command != "simulate":  # simulate replaces the exports
+        _refuse_stale(out, sim)
     return Resolved(sim=sim, plan=plan, solve=solve_entry,
-                    standardize=solve.get("standardize", False),
-                    out=Path(args.out or output.get("dir", ".")))
+                    standardize=solve.get("standardize", False), out=out)
 
 
 @contextmanager
 def _writing(cfg: Resolved, paths: list[Path]):
-    """A command's writes into cfg.out, then manifest.json: the whole
-    resolved config, flags applied, its hash, the seed and the version, and
-    no timings, so reruns match. The last run's manifest.json goes first;
-    if the block or the manifest raises, `paths` and manifest.json go."""
+    """A command's writes into cfg.out, made here, then manifest.json: the
+    whole resolved config, flags applied, its hash, the seed and the
+    version, and no timings, so reruns match. The last run's manifest.json
+    goes first; if the block or the manifest raises, `paths` and
+    manifest.json go."""
     manifest = cfg.out / "manifest.json"
+    # outside the try: a failed mkdir has written nothing to remove
+    cfg.out.mkdir(parents=True, exist_ok=True)
     manifest.unlink(missing_ok=True)
     try:
         yield
@@ -199,19 +206,10 @@ def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
                                      "rerun simulate")
 
 
-def _draw(out: Path, sim_cfg: SimConfig):
-    """(X as `BinaryRows`, ground truth) of `sim_cfg`, then `out` is made."""
-    _refuse_stale(out, sim_cfg)
-    sample, gt = sample_interactions(sim_cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    return sample.rows, gt
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     sim_cfg, out = cfg.sim, cfg.out
     sample, gt = sample_interactions(sim_cfg)
-    out.mkdir(parents=True, exist_ok=True)
     # no export may be left beside a record of another config
     with _writing(cfg, [out / f for f in ("X.csv", "ground_truth.json",
                                           SIM_RECORD)]):
@@ -225,7 +223,7 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     entry, out = cfg.solve, cfg.out
-    X, _ = _draw(out, cfg.sim)
+    X = sample_interactions(cfg.sim)[0].rows
     pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
                             entry)
     pair_dir = out / f"pair_obj{entry.objective}"
@@ -241,7 +239,7 @@ def cmd_similarity(args) -> int:
     if args.kind == "user-user" and n > USER_USER_MAX_USERS:
         raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
                                   f"{n} > {USER_USER_MAX_USERS}")
-    X, _ = _draw(out, cfg.sim)
+    X = sample_interactions(cfg.sim)[0].rows
     X = standardize(X)[0] if cfg.standardize else X
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
@@ -284,12 +282,11 @@ def _forked(fn) -> int:
     return pid
 
 
-def _audit_input(out: Path, sim_cfg: SimConfig):
-    """`_draw`, but (spectrum of X, ground truth). A forked child draws X and
+def _audit_input(sim_cfg: SimConfig):
+    """(spectrum of X, ground truth) of `sim_cfg`. A forked child draws X and
     counts its Gram (no BLAS) into a shared mapping, so this process's eigh
     does not sit on the sampler's memory; without fork or the mapping, or if
-    the child fails or dies, this process runs `_draw` and meets its errors."""
-    _refuse_stale(out, sim_cfg)
+    the child fails or dies, this process draws X and meets its errors."""
     p, gram = sim_cfg.p, None
     try:
         shared = mmap.mmap(-1, 8 * p * p) if hasattr(os, "fork") else None
@@ -303,9 +300,8 @@ def _audit_input(out: Path, sim_cfg: SimConfig):
             if os.waitpid(_forked(count), 0)[1] == 0:
                 gram = np.frombuffer(shared).reshape(p, p).copy()
     if gram is None:
-        X, gt = _draw(out, sim_cfg)
-        return spectrum(X), gt
-    out.mkdir(parents=True, exist_ok=True)
+        sample, gt = sample_interactions(sim_cfg)
+        return spectrum(sample.rows), gt
     spec = Spectrum.of_gram(gram, sim_cfg.n)
     return spec, sample_ground_truth(sim_cfg)  # imports numpy.random: after eigh
 
@@ -313,7 +309,7 @@ def _audit_input(out: Path, sim_cfg: SimConfig):
 def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
-    spec, gt = _audit_input(out, sim_cfg)
+    spec, gt = _audit_input(sim_cfg)
     # the report, its warnings and its first compute error, before any
     # file is written; the exports format its unit rows
     report = compare_configurations(spec, gt, plan)
@@ -365,7 +361,7 @@ def cmd_fullrank_check(args) -> int:
     n, p, out = cfg.sim.n, cfg.sim.p, cfg.out
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    X, _ = _draw(out, cfg.sim)
+    X = sample_interactions(cfg.sim)[0].rows
     audit = audit_full_rank(X, cfg.solve.lam)
     with _writing(cfg, [out / "fullrank_report.json"]):
         write_json(out / "fullrank_report.json", audit.to_dict())

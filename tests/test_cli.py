@@ -385,6 +385,58 @@ class TestStrictConfig:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text", [None, "{bad"],
+                             ids=["missing", "malformed"])
+    def test_unreadable_config_exit_2_writing_nothing(
+            self, tmp_path, monkeypatch, capsys, command, text):
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: cannot read {path}: ")
+        assert not out.exists()
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_file_exit_2_before_drawing(
+            self, tmp_path, monkeypatch, capsys, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew X")
+
+        monkeypatch.setattr(cli, "sample_interactions", forbidden)
+        cfg = write_config(tmp_path, {"plan": [ENTRY], "solve": ENTRY})
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert main([command, "--config", str(cfg), "--out", str(afile)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output.dir: {afile} exists and is not a "
+            "directory\n")
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("argv", [["audit"],
+                                      ["similarity", "--family", "inverse"]])
+    def test_failed_solve_leaves_no_directory(self, tmp_path, capsys, argv):
+        # one cluster: every user draws all 5 items, so X has rank 1 and
+        # the inverse family has zero singular values to invert
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "sim": {"n": 50, "p": 5, "C": 1, "cluster_probs": [1.0],
+                    "seed": 3},
+            "plan": [{"objective": 1, "lambda": 1.0, "rank": 5,
+                      "family": "inverse"}],
+            "solve": {"objective": 1, "lambda": 1.0, "rank": 5}}))
+        out = tmp_path / "new" / "out"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "compute error: family 'inverse' needs strictly positive "
+            "singular values\n")
+        assert not (tmp_path / "new").exists()
+
     def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -739,9 +791,11 @@ class TestAuditWorkers:
     @staticmethod
     def run(monkeypatch, capsys, cfg, out, cpus):
         """(exit code, stderr, forks) of `audit` as if `cpus` CPUs were
-        usable; checks that no child outlives the command."""
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
+        usable, or with the CPUs left as they are if `cpus` is None; checks
+        that no child outlives the command."""
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
         forks = []
         real_fork = os.fork
 
@@ -791,6 +845,24 @@ class TestAuditWorkers:
         code, _, forks = self.run(monkeypatch, capsys, cfg,
                                   tmp_path / "out", 8)
         assert (code, forks) == (0, 3)
+
+    @pytest.mark.parametrize("cpu_count, forks", [(2, 3), (None, 1)])
+    def test_cpu_count_where_affinity_is_missing(self, tmp_path, monkeypatch,
+                                                 capsys, cpu_count, forks):
+        # as on macOS, which has no os.sched_getaffinity; os.cpu_count()
+        # may not know the count, and then the exports are written here
+        cfg = self.config(tmp_path, self.PLAN)
+        default, out = tmp_path / "default", tmp_path / "out"
+        capsys.readouterr()
+        assert main(["audit", "--config", str(cfg), "--out", str(default)]) == 0
+        err0 = capsys.readouterr().err
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        code, err, forked = self.run(monkeypatch, capsys, cfg, out, None)
+        assert (code, forked) == (0, forks)
+        assert len(tree(out)) == 3 * len(self.PLAN) + 3
+        assert tree(out) == tree(default)
+        assert err == err0
 
     def test_one_process_where_fork_is_missing(self, tmp_path,
                                                monkeypatch, capsys):
@@ -923,7 +995,7 @@ class TestAuditWorkers:
                                     self.config(tmp_path, plan), out, 2)
         assert (code, forks) == (3, 1)
         assert err == "compute error: rank 8 failed\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("failing", [[2], [3], [3, 4]])
     def test_failed_export_as_in_one_process(self, tmp_path, monkeypatch,
@@ -1098,6 +1170,22 @@ class TestFullrankCheck:
         out = tmp_path / "out"
         assert main(["fullrank-check", "--config", str(cfg), "--out", str(out),
                      "--lambda", "0"]) == 0
+
+    def test_failed_identity_exit_4(self, tmp_path, monkeypatch, capsys):
+        # at tolerance 0, check (a)'s rounding error alone fails it
+        monkeypatch.setattr(analysis, "TOL_IDENTITY", 0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": dict(SIM, n=300, p=40)}))
+        out = tmp_path / "out"
+        assert main(["fullrank-check", "--config", str(cfg),
+                     "--out", str(out)]) == 4
+        assert re.fullmatch(r"identity check failed: "
+                            r"item_item_collapses_to_identity \(deviation "
+                            r"\S+, tol 0\.000e\+00\)\n",
+                            capsys.readouterr().err)
+        report = json.loads((out / "fullrank_report.json").read_text())
+        assert report["all_passed"] is False
+        assert (out / "manifest.json").exists()
 
     def test_wide_matrix_rejected(self, tmp_path):
         wide = dict(SIM, n=20, p=30)

@@ -194,6 +194,41 @@ def test_similarity_export_with_sidecar(tmp_path, rng):
     assert sidecar["provenance"]["lambda"] == 1.0
 
 
+def pgm_gray(path):
+    _, _, _, *rows = path.read_text().splitlines()
+    return np.array([[int(g) for g in row.split()] for row in rows])
+
+
+def test_dot_similarity_heatmap_spans_its_values(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "sim": {"n": 120, "p": 30, "C": 3, "cluster_probs": [0.4, 0.3, 0.3],
+                "seed": 11},
+        "solve": {"objective": 1, "lambda": 10.0, "rank": 5}}))
+    out = tmp_path / "out"
+    assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                 "--metric", "dot"]) == 0
+    path = out / "similarity_item-item_dot_obj1_identity.csv"
+    values = read_matrix_csv(path)
+    lo, hi = json.loads(path.with_suffix(".json").read_text())["heatmap_range"]
+    assert [lo, hi] == [values.min(), values.max()]
+    assert lo < hi
+    gray = pgm_gray(path.with_suffix(".pgm"))
+    assert gray.flat[values.argmin()] == 0
+    assert gray.flat[values.argmax()] == 255
+    assert path.with_suffix(".pgm").read_bytes() == per_element_pgm(values, lo, hi)
+
+
+def test_constant_dot_similarity_heatmap_is_black(tmp_path):
+    # lo == hi: the writer maps [lo, lo + 1], so every value is gray 0
+    sim = SimilarityMatrix(values=np.full((3, 4), 2.5), kind="user-item",
+                           metric="dot")
+    write_similarity(tmp_path, "s", sim, provenance={})
+    sidecar = json.loads((tmp_path / "s.json").read_text())
+    assert sidecar["heatmap_range"] == [2.5, 2.5]
+    assert pgm_gray(tmp_path / "s.pgm").tolist() == [[0] * 4] * 3
+
+
 def test_config_hash_stable_and_order_free():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
