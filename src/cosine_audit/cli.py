@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import mmap
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,9 +28,9 @@ from . import __version__
 from .analysis import (PlanEntry, audit_full_rank, compare_configurations,
                        figure_similarity, solve_plan_entry)
 from .errors import ConfigError, check_section
-from .io_utils import (SIMILARITY_SUFFIXES, read_json, write_embedding_pair,
-                       write_json, write_manifest, write_matrix_csv,
-                       write_pgm, write_similarity)
+from .io_utils import (read_json, write_embedding_pair, write_json,
+                       write_manifest, write_matrix_csv, write_pgm,
+                       write_similarity)
 from .matrix_core import Spectrum, spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
@@ -151,8 +153,10 @@ def _resolve(args) -> Resolved:
             raise ConfigError("solve.rank", "not set by the file or --rank, "
                                             f"and the built-in rank {bound}")
     out = Path(args.out or output.get("dir", "."))
-    if out.exists() and not out.is_dir():
-        raise ConfigError("output.dir", f"{out} exists and is not a directory")
+    # _writing makes out and its parents: each that exists must be a directory
+    for d in (out, *out.parents):
+        if d.exists() and not d.is_dir():
+            raise ConfigError("output.dir", f"{d} exists and is not a directory")
     if args.command != "simulate":  # simulate replaces the exports
         _refuse_stale(out, sim)
     return Resolved(sim=sim, plan=plan, solve=solve_entry,
@@ -160,26 +164,31 @@ def _resolve(args) -> Resolved:
 
 
 @contextmanager
-def _writing(cfg: Resolved, paths: list[Path]):
-    """A command's writes into cfg.out, made here, then manifest.json: the
-    whole resolved config, flags applied, its hash, the seed and the
-    version, and no timings, so reruns match. The last run's manifest.json
-    goes first; if the block or the manifest raises, `paths` and
-    manifest.json go."""
-    manifest = cfg.out / "manifest.json"
-    # outside the try: a failed mkdir has written nothing to remove
+def _writing(cfg: Resolved):
+    """A staging directory in cfg.out for a command's files. Once they and
+    manifest.json (the whole resolved config, flags applied, its hash, the
+    seed and the version, no timings, so reruns match) are written, each
+    moves to its place in cfg.out, manifest.json last; a failure before
+    that leaves cfg.out as it was."""
     cfg.out.mkdir(parents=True, exist_ok=True)
-    manifest.unlink(missing_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".writing-", dir=cfg.out))
     try:
-        yield
+        yield stage
         solve = {**cfg.solve.to_dict(), "standardize": cfg.standardize}
         config = {"sim": cfg.sim.to_dict(), "solve": solve,
                   "plan": [e.to_dict() for e in cfg.plan]}
-        write_manifest(cfg.out, config, cfg.sim.seed, __version__)
-    except Exception:
-        for f in paths + [manifest]:
-            f.unlink(missing_ok=True)
-        raise
+        write_manifest(stage, config, cfg.sim.seed, __version__)
+        manifest = stage / "manifest.json"
+        # a move that fails leaves no manifest naming the files it replaced
+        (cfg.out / manifest.name).unlink(missing_ok=True)
+        for f in sorted(stage.rglob("*")):
+            if f.is_file() and f != manifest:
+                to = cfg.out / f.relative_to(stage)
+                to.parent.mkdir(exist_ok=True)
+                os.replace(f, to)
+        os.replace(manifest, cfg.out / manifest.name)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _sim_record(sim_cfg: SimConfig) -> dict:
@@ -210,12 +219,11 @@ def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     sim_cfg, out = cfg.sim, cfg.out
     sample, gt = sample_interactions(sim_cfg)
-    # no export may be left beside a record of another config
-    with _writing(cfg, [out / f for f in ("X.csv", "ground_truth.json",
-                                          SIM_RECORD)]):
-        write_matrix_csv(out / "X.csv", sample.rows)
-        write_json(out / "ground_truth.json", gt.to_dict())
-        write_json(out / SIM_RECORD, _sim_record(sim_cfg))
+    # moved into out together: no export beside another config's record
+    with _writing(cfg) as stage:
+        write_matrix_csv(stage / "X.csv", sample.rows)
+        write_json(stage / "ground_truth.json", gt.to_dict())
+        write_json(stage / SIM_RECORD, _sim_record(sim_cfg))
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
 
@@ -226,10 +234,10 @@ def cmd_solve(args) -> int:
     X = sample_interactions(cfg.sim)[0].rows
     pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
                             entry)
-    pair_dir = out / f"pair_obj{entry.objective}"
-    with _writing(cfg, [pair_dir / f for f in ("A.csv", "B.csv", "meta.json")]):
-        write_embedding_pair(pair_dir, pair)
-    print(f"wrote embedding pair to {pair_dir}")
+    pair_dir = f"pair_obj{entry.objective}"
+    with _writing(cfg) as stage:
+        write_embedding_pair(stage / pair_dir, pair)
+    print(f"wrote embedding pair to {out / pair_dir}")
     return EXIT_OK
 
 
@@ -246,9 +254,8 @@ def cmd_similarity(args) -> int:
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
     name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
             f"_{entry.family}")
-    with _writing(cfg, [out / (name + suffix)
-                        for suffix in SIMILARITY_SUFFIXES]):
-        write_similarity(out, name, sim, entry.to_dict())
+    with _writing(cfg) as stage:
+        write_similarity(stage, name, sim, entry.to_dict())
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 
@@ -319,31 +326,27 @@ def cmd_audit(args) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1
-    written = [out / f"similarity_{r.entry.label()}{suffix}" for r in distinct
-               for suffix in SIMILARITY_SUFFIXES]
-    with _writing(cfg, written):
+    with _writing(cfg) as stage:
         if workers == 1:
-            _export(distinct, order, out)
+            _export(distinct, order, stage)
         else:
             pids = []
             try:
                 for w in range(workers):
                     pids.append(_forked(lambda share=distinct[w::workers]:
-                                        _export(share, order, out)))
+                                        _export(share, order, stage)))
             finally:
                 statuses = [os.waitpid(pid, 0)[1] for pid in pids]
             # the entries of a child that failed or died are written again
             # here in plan order, so the error, if any, is the first one a
             # single process meets
             _export([r for i, r in enumerate(distinct)
-                     if statuses[i % workers]], order, out)
+                     if statuses[i % workers]], order, stage)
         # the ground truth in figure order: 1 where two items share a cluster
         cluster = gt.item_cluster[order]
-        written.append(out / "ground_truth.pgm")
-        write_pgm(out / "ground_truth.pgm",
+        write_pgm(stage / "ground_truth.pgm",
                   cluster[:, None] == cluster[None, :], 0.0, 1.0)
-        written.append(out / "report.json")
-        write_json(out / "report.json", report.to_dict())
+        write_json(stage / "report.json", report.to_dict())
     print(f"audit complete: {len(report.results)} plan entries, "
           f"report at {out / 'report.json'}")
     return EXIT_OK
@@ -358,13 +361,13 @@ def cmd_fullrank_check(args) -> int:
     if cfg.standardize:
         raise ConfigError("solve.standardize", "the full-rank identities "
                                                "hold for the raw X only")
-    n, p, out = cfg.sim.n, cfg.sim.p, cfg.out
+    n, p = cfg.sim.n, cfg.sim.p
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
     X = sample_interactions(cfg.sim)[0].rows
     audit = audit_full_rank(X, cfg.solve.lam)
-    with _writing(cfg, [out / "fullrank_report.json"]):
-        write_json(out / "fullrank_report.json", audit.to_dict())
+    with _writing(cfg) as stage:
+        write_json(stage / "fullrank_report.json", audit.to_dict())
     if not audit.all_passed:
         first = next(c for c in audit.checks if not (c.passed or c.skipped))
         print(f"identity check failed: {first.name} "

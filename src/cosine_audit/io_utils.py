@@ -232,15 +232,11 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
             f.write(cells.view(np.uint8)[keep].tobytes())
 
 
-# write_similarity writes out_dir / (name + suffix) for these, in order
-SIMILARITY_SUFFIXES = (".csv", ".json", ".pgm")
-
-
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
                      provenance: dict) -> None:
     """Similarity CSV + sidecar JSON + PGM heatmap."""
     csv_path, json_path, pgm_path = (Path(out_dir) / (name + suffix)
-                                     for suffix in SIMILARITY_SUFFIXES)
+                                     for suffix in (".csv", ".json", ".pgm"))
     write_matrix_csv(csv_path, sim.values)
     if sim.metric == "cosine":
         lo, hi = -1.0, 1.0

@@ -75,10 +75,12 @@ class TestSimulate:
                                       "X.sim.json", "manifest.json"])
     def test_failed_rerun_leaves_no_export_beside_another_record(
             self, tmp_path, monkeypatch, capsys, last):
-        # a rerun at another seed fails at `last`, after writing part of it
+        # a rerun at another seed fails at `last`, after writing part of it;
+        # the last run's exports and their record stay as they were
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        last_run = tree(out)
         for module, writer in ((cli, "write_matrix_csv"), (cli, "write_json"),
                                (io_utils, "write_json")):
             def failing(path, *args, real=getattr(module, writer)):
@@ -91,7 +93,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--seed", "2"]) == 3
         assert capsys.readouterr().err == f"compute error: {last} write failed\n"
-        assert set(tree(out)) <= {"manifest.json"}
+        assert tree(out) == last_run
 
     def test_bare_sim_config_refused(self, tmp_path, capsys):
         # a top-level object holding the sim keys is not a second format
@@ -203,6 +205,19 @@ class TestSolveAndSimilarity:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"compute error: {last} write failed\n"
         assert tree(out) == {}
+
+    def test_failed_write_leaves_no_pair_directory(self, tmp_path,
+                                                   monkeypatch, capsys):
+        def failing(path, m):
+            raise OSError(f"{path.name} write failed")
+
+        monkeypatch.setattr(io_utils, "write_matrix_csv", failing)
+        cfg = write_config(tmp_path, {"solve": {"objective": 1,
+                                                "lambda": 10.0, "rank": 5}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "compute error: A.csv write failed\n"
+        assert list(out.iterdir()) == []
 
 
 class TestStrictEntries:
@@ -412,10 +427,13 @@ class TestStrictConfig:
         cfg = write_config(tmp_path, {"plan": [ENTRY], "solve": ENTRY})
         afile = tmp_path / "afile"
         afile.write_text("kept")
-        assert main([command, "--config", str(cfg), "--out", str(afile)]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: output.dir: {afile} exists and is not a "
-            "directory\n")
+        # --out is the file, or a directory that would be made under it
+        for out in (afile, afile / "sub" / "dir"):
+            assert main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: output.dir: {afile} exists and is not a "
+                "directory\n")
         assert afile.read_text() == "kept"
 
     @pytest.mark.parametrize("argv", [["audit"],
@@ -1272,13 +1290,14 @@ class TestManifest:
 
     @pytest.mark.parametrize("command, last", [("simulate", "ground_truth.json"),
                                                ("audit", "report.json")])
-    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch,
-                                             capsys, command, last):
-        # the rerun at seed 2 fails at `last`: a manifest.json left behind
-        # would name seed 11 and outputs that are gone
+    def test_failed_rerun_keeps_the_last_manifest(self, tmp_path, monkeypatch,
+                                                  capsys, command, last):
+        # the rerun at seed 2 fails at `last`: the manifest.json left names
+        # seed 11 and the outputs beside it, which are seed 11's
         cfg = write_config(tmp_path, {"plan": [ENTRY]})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        last_run = tree(out)
         real = cli.write_json
 
         def failing(path, doc):
@@ -1290,7 +1309,7 @@ class TestManifest:
         assert main([command, "--config", str(cfg), "--out", str(out),
                      "--seed", "2"]) == 3
         assert capsys.readouterr().err == f"compute error: {last} write failed\n"
-        assert not (out / "manifest.json").exists()
+        assert tree(out) == last_run
 
     def test_rerun_failing_before_its_writes_keeps_the_last_run(
             self, tmp_path, monkeypatch):
@@ -1306,6 +1325,51 @@ class TestManifest:
         assert main(["audit", "--config", str(cfg), "--out", str(out),
                      "--seed", "2"]) == 3
         assert tree(out) == last_run
+
+    def test_rerun_killed_while_exporting_keeps_the_last_run(
+            self, tmp_path, monkeypatch):
+        # one usable CPU, so the command's own process writes every export;
+        # it runs in a child of this process, killed at its second export
+        plan = [dict(ENTRY, family=f) for f in ("collapse", "identity")]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        last_run = tree(out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        exported = []
+        real = cli.write_similarity
+
+        def write(*args, **kwargs):
+            exported.append(args[1])
+            if len(exported) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_similarity", write)
+        pid = cli._forked(lambda: main(["audit", "--config", str(cfg), "--out",
+                                        str(out), "--seed", "2"]))
+        status = os.waitpid(pid, 0)[1]
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+        staged = [f.name for f in out.iterdir() if f.name.startswith(".")]
+        assert len(staged) == 1 and staged[0].startswith(".writing-")
+        assert {name: data for name, data in tree(out).items()
+                if not name.startswith(".")} == last_run
+
+    def test_failed_move_leaves_no_manifest(self, tmp_path, capsys):
+        # the rerun's report.json cannot replace a directory of that name,
+        # so the outputs are part seed 11's and part seed 2's
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "report.json").unlink()
+        (out / "report.json").mkdir()
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "2"]) == 3
+        assert "compute error: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert [f.name for f in out.iterdir() if f.name.startswith(".")] == []
 
     def test_flags_and_defaults_are_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"plan": [ENTRY],
