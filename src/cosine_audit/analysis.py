@@ -129,9 +129,8 @@ def audit_full_rank(X, lam: float) -> FullRankAudit:
     zero_dims = X.shape[1] - k
     full_rank = zero_dims == 0
 
-    pair = solve_objective1(spec, k, lam)
-    collapse = apply_scaling(pair, named_scaling(pair, "collapse"))
-    inverse = apply_scaling(pair, named_scaling(pair, "inverse"))
+    pair, collapse, inverse = (solve_plan_entry(spec, PlanEntry(1, lam, k, f))
+                               for f in ("identity", "collapse", "inverse"))
 
     checks = []
     if full_rank:
@@ -214,7 +213,12 @@ class PlanEntry:
                                         f"got {self.family!r}")
 
     def label(self) -> str:
-        return f"obj{self.objective}_lam{self.lam:g}_k{self.rank}_{self.family}"
+        """The name of this entry's exports, which only equal entries share:
+        lambda is written `%g` where that reads back as lambda, in full where
+        it does not, and -0.0, which equals 0.0, as 0 (adding 0.0)."""
+        lam = self.lam + 0.0
+        name = f"{lam:g}" if float(f"{lam:g}") == lam else f"{lam}"
+        return f"obj{self.objective}_lam{name}_k{self.rank}_{self.family}"
 
     def to_dict(self) -> dict:
         return {"objective": self.objective, "lambda": self.lam,

@@ -126,15 +126,6 @@ def _resolve(args) -> Resolved:
                                  required=ENTRY_KEYS), f"plan[{i}]",
                    top if "plan" in cfg else None)
             for i, e in enumerate(cfg.get("plan", DEFAULT_PLAN))]
-    # an entry's exports are named by its label, in which lambda keeps 6
-    # significant digits: two different entries must not share one
-    first = {}
-    for j, entry in enumerate(plan):
-        i = first.setdefault(entry.label(), j)
-        if plan[i] != entry:
-            raise ConfigError(f"plan[{j}]", f"differs from plan[{i}] but "
-                                            "would write the same files, "
-                                            f"similarity_{entry.label()}.*")
     solve = check_section(cfg.get("solve", {}), "solve", SOLVE_KEYS)
     flags = {k: v for k, v in vars(args).items()
              if k in ("objective", "lambda", "rank", "family") and v is not None}
@@ -321,7 +312,7 @@ def cmd_audit(args) -> int:
     # file is written; the exports format its unit rows
     report = compare_configurations(spec, gt, plan)
     order = figure_item_order(gt)
-    # an entry listed twice has one label and one set of files
+    # equal entries, and only they, share a label and one set of files
     distinct = list({r.entry.label(): r for r in report.results}.values())
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)

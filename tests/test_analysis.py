@@ -152,6 +152,20 @@ class TestAuditFullRank:
             dense, abs=1e-12)
         assert dev["user_user_inverse_matches_raw_data"] <= 1e-6
 
+    def test_solves_each_family_as_a_plan_entry(self, dense_x, monkeypatch):
+        entries = []
+        solve = analysis.solve_plan_entry
+
+        def recording(X, entry):
+            entries.append(entry)
+            return solve(X, entry)
+
+        monkeypatch.setattr(analysis, "solve_plan_entry", recording)
+        audit = audit_full_rank(dense_x, 100.0)
+        assert sorted(entries, key=lambda e: e.family) == [
+            PlanEntry(1, 100.0, audit.rank, f)
+            for f in ("collapse", "identity", "inverse")]
+
     def test_binary_rows_give_the_dense_audit(self, desk_rows):
         audit = audit_full_rank(desk_rows, 100.0)
         assert not any(c.skipped for c in audit.checks)
@@ -246,6 +260,18 @@ class TestCompareConfigurations:
         with pytest.raises(ConfigError) as e:
             PlanEntry(*fields)
         assert e.value.key == key
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.just(-0.0),
+                     st.floats(min_value=0.0, allow_infinity=False)))
+    def test_label_names_lambda_exactly(self, lam):
+        field = PlanEntry(1, lam, 3).label().split("_")[1]
+        # -0.0 equals 0.0 and is named as it is, 0
+        assert field.startswith("lam") and not field.startswith("lam-")
+        assert float(field[3:]) == lam
+        short = f"{lam:g}"
+        if float(short) == lam and short != "-0":
+            assert field[3:] == short
 
     def test_families_change_contrast(self, desk_data):
         x, gt = desk_data

@@ -599,19 +599,33 @@ class TestAudit:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["audit", "simulate", "solve"])
-    def test_entries_sharing_an_export_name_exit_2(self, tmp_path, capsys,
-                                                   command):
-        # lambda is named to 6 significant digits: both are ..._lam1.23457e+06
+    def test_entries_sharing_six_digits_of_lambda_run(self, tmp_path,
+                                                      command):
+        # %g would name both lam1.23457e+06; their labels name each in full
         plan = [{"objective": 1, "lambda": 1234567.0, "rank": 5},
                 {"objective": 1, "lambda": 2.0, "rank": 5},
                 {"objective": 1, "lambda": 1234568.0, "rank": 5}]
+        cfg = write_config(tmp_path, {"plan": plan, "solve": {"rank": 5}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "audit":
+            for lam in ("1234567.0", "2", "1234568.0"):
+                side = json.loads((out / f"similarity_obj1_lam{lam}_k5_"
+                                   "identity.json").read_text())
+                assert side["provenance"]["lambda"] == float(lam)
+            assert len(list(out.glob("similarity_*"))) == 9
+
+    def test_zero_and_minus_zero_lambda_share_one_file_set(self, tmp_path):
+        plan = [{"objective": 1, "lambda": 0.0, "rank": 5},
+                {"objective": 1, "lambda": -0.0, "rank": 5}]
         cfg = write_config(tmp_path, {"plan": plan})
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: plan[2]: differs from plan[0] but would write the "
-            "same files, similarity_obj1_lam1.23457e+06_k5_identity.*\n")
-        assert not out.exists()
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["results"]) == 2
+        assert sorted(f.name for f in out.glob("similarity_*")) == [
+            f"similarity_obj1_lam0_k5_identity.{ext}"
+            for ext in ("csv", "json", "pgm")]
 
     def test_an_entry_listed_twice_runs(self, tmp_path):
         plan = [self.plan()[0], self.plan()[1], self.plan()[0]]
