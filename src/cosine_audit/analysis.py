@@ -119,7 +119,7 @@ def audit_full_rank(X, lam: float) -> FullRankAudit:
         and dot scores;
     (d) predicted scores are invariant across seeded random rescalings.
 
-    Rank-deficient inputs drop the zero-sigma dimensions; (a) and (b) only
+    Rank-deficient inputs drop the zero-sigma dimensions; (a)-(c) only
     hold at full rank and are marked skipped in that case. X is a dense
     matrix or `BinaryRows`.
     """
@@ -132,29 +132,27 @@ def audit_full_rank(X, lam: float) -> FullRankAudit:
     pair, collapse, inverse = (solve_plan_entry(spec, PlanEntry(1, lam, k, f))
                                for f in ("identity", "collapse", "inverse"))
 
-    checks = []
     if full_rank:
         # the matrices of checks (a) and (c) are freed before the next check
         ii = item_item(X, collapse).values
         dev_a = float(np.abs(ii - np.diag(np.diag(ii))).max())
         del ii
         dev_b = _user_cosine_gap(X, inverse)
-        checks.append(CheckResult("item_item_collapses_to_identity",
-                                  dev_a, TOL_IDENTITY, dev_a <= TOL_IDENTITY))
-        checks.append(CheckResult("user_user_inverse_matches_raw_data",
-                                  dev_b, TOL_IDENTITY, dev_b <= TOL_IDENTITY))
         frac = float(ranking_equal(user_item(X, collapse, METRIC_COSINE),
                                    user_item(X, collapse, METRIC_DOT)).mean())
-        checks.append(CheckResult("cosine_dot_ranking_agreement",
-                                  1.0 - frac, 0.0, frac == 1.0))
+        devs = (dev_a, dev_b, 1.0 - frac)
     else:
         # (a)-(c) require the rows of the rescaled V to be unit norm, which
         # only holds when the retained rank equals p
-        for name in ("item_item_collapses_to_identity",
-                     "user_user_inverse_matches_raw_data",
-                     "cosine_dot_ranking_agreement"):
-            checks.append(CheckResult(name, None, TOL_IDENTITY,
-                                      passed=False, skipped=True))
+        devs = (None, None, None)
+    # checks (a)-(c), each held to its own tolerance whether run or skipped;
+    # (c)'s deviation is the fraction of users whose rankings differ
+    named = (("item_item_collapses_to_identity", TOL_IDENTITY),
+             ("user_user_inverse_matches_raw_data", TOL_IDENTITY),
+             ("cosine_dot_ranking_agreement", 0.0))
+    checks = [CheckResult(name, dev, tol, passed=dev is not None and dev <= tol,
+                          skipped=dev is None)
+              for (name, tol), dev in zip(named, devs)]
 
     base = predicted_scores(X, pair)
     base_norm = np.linalg.norm(base)

@@ -312,8 +312,12 @@ def cmd_audit(args) -> int:
     # file is written; the exports format its unit rows
     report = compare_configurations(spec, gt, plan)
     order = figure_item_order(gt)
-    # equal entries, and only they, share a label and one set of files
-    distinct = list({r.entry.label(): r for r in report.results}.values())
+    # equal entries, and only they, share a label and one set of files,
+    # written from the first of them
+    distinct = {}
+    for r in report.results:
+        distinct.setdefault(r.entry.label(), r)
+    distinct = list(distinct.values())
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1

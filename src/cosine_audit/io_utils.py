@@ -1,4 +1,4 @@
-"""File formats: matrix CSV, plain PGM heatmaps, embedding-pair directories.
+"""File formats: matrix CSV, binary PGM heatmaps, embedding-pair directories.
 
 All numeric text output uses 17 significant digits so round-trips are exact
 for float64 and reruns are byte-identical.
@@ -30,7 +30,7 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
 
 @functools.cache
 def _kernel_tables() -> dict:
-    """Lookup tables of the CSV and PGM kernels, built on first use."""
+    """Lookup tables of the CSV kernel, built on first use."""
     pow10 = np.array([float(10 ** k) for k in range(23)])  # exact to 10^22
     big = pow10 * _SPLIT
     pow10_hi = big - (big - pow10)
@@ -55,7 +55,6 @@ def _kernel_tables() -> dict:
         shift[d, 6:7 + d] = np.arange(7, 8 + d)
         shift[d, 7 + d] = 0  # a "." fill byte
 
-    levels = [str(v) for v in range(256)]
     return {
         "pow10": pow10, "pow10_hi": pow10_hi, "pow10_lo": pow10 - pow10_hi,
         "group": group, "group_tz": group_tz,
@@ -66,12 +65,6 @@ def _kernel_tables() -> dict:
         # and separator
         "keep": ((col >= np.arange(8)[:, None, None])
                  & (col <= col[:, None])).reshape(-1, _CELL).view(np.uint64),
-        # gray level -> its text and separator as 4 bytes, and which of
-        # those bytes to keep as 4 bools in one uint32
-        "gray_sp": np.array([v + " " for v in levels], dtype="S4").view(np.uint32),
-        "gray_nl": np.array([v + "\n" for v in levels], dtype="S4").view(np.uint32),
-        "gray_keep": (np.arange(4) <= np.array([len(v) for v in levels])[:, None]
-                      ).view(np.uint32).ravel(),
     }
 
 
@@ -208,7 +201,8 @@ def read_json(path):
 
 
 def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
-    """Plain (P2) PGM: values mapped linearly from [lo, hi] to gray 0..255.
+    """Binary (P5) PGM: values mapped linearly from [lo, hi] to gray 0..255,
+    one byte per pixel.
 
     values may have any real dtype and memory layout: each block of rows is
     taken as C-ordered float64, so no float64 copy of the whole is made."""
@@ -216,20 +210,12 @@ def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
     if hi <= lo:
         hi = lo + 1.0
     h, w = v.shape
-    t = _kernel_tables()
     with open(path, "wb") as f:
-        f.write(f"P2\n{w} {h}\n255\n".encode())
-        if w == 0:
-            f.write(b"\n" * h)
-            return
+        f.write(f"P5\n{w} {h}\n255\n".encode())
         for i in range(0, h, _BLOCK_ROWS):
             block = np.ascontiguousarray(v[i:i + _BLOCK_ROWS], dtype=np.float64)
-            gray = np.clip(np.rint((block - lo) / (hi - lo) * 255.0),
-                           0, 255).astype(np.intp)
-            cells = np.take(t["gray_sp"], gray)
-            cells[:, -1] = np.take(t["gray_nl"], gray[:, -1])
-            keep = np.take(t["gray_keep"], gray).view(np.bool_)
-            f.write(cells.view(np.uint8)[keep].tobytes())
+            f.write(np.clip(np.rint((block - lo) / (hi - lo) * 255.0),
+                            0, 255).astype(np.uint8).tobytes())
 
 
 def write_similarity(out_dir, name: str, sim: SimilarityMatrix,

@@ -127,6 +127,18 @@ class TestAuditFullRank:
         assert len(skipped) == 3
         assert audit.all_passed  # remaining checks pass
 
+    def test_skipped_checks_report_their_own_tolerance(self):
+        gen = np.random.default_rng(9)
+        x = gen.standard_normal((40, 6))
+        x = np.hstack([x, x[:, :1]])  # a duplicated column: rank 6 of 7
+        skipped = audit_full_rank(x, 1.0)
+        full = audit_full_rank(x[:, :6], 1.0)
+        assert skipped.zero_sigma_dims == 1 and full.zero_sigma_dims == 0
+        assert [c.skipped for c in skipped.checks] == [True] * 3 + [False]
+        assert ([c.tol for c in skipped.checks][:3]
+                == [c.tol for c in full.checks][:3]
+                == [analysis.TOL_IDENTITY, analysis.TOL_IDENTITY, 0.0])
+
     @pytest.mark.parametrize("family", ["inverse", "identity"])
     def test_blocked_user_gap_matches_dense(self, desk_data, monkeypatch,
                                             family):

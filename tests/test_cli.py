@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import mmap
 import os
 import re
@@ -626,6 +627,19 @@ class TestAudit:
         assert sorted(f.name for f in out.glob("similarity_*")) == [
             f"similarity_obj1_lam0_k5_identity.{ext}"
             for ext in ("csv", "json", "pgm")]
+
+    @pytest.mark.parametrize("lams", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_equal_entries_export_the_first_entry(self, tmp_path, lams):
+        plan = [{"objective": 1, "lambda": lam, "rank": 5} for lam in lams]
+        cfg = write_config(tmp_path, {"plan": plan})
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        side = json.loads((out / "similarity_obj1_lam0_k5_identity.json").read_text())
+        lam = side["provenance"]["lambda"]
+        assert math.copysign(1.0, lam) == math.copysign(1.0, lams[0])
+        assert (math.copysign(1.0, report["results"][0]["entry"]["lambda"])
+                == math.copysign(1.0, lams[0]))
 
     def test_an_entry_listed_twice_runs(self, tmp_path):
         plan = [self.plan()[0], self.plan()[1], self.plan()[0]]

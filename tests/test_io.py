@@ -52,13 +52,12 @@ def per_element_csv(m):
 
 
 def per_element_pgm(v, lo, hi):
-    """The original heatmap writer, one gray level at a time."""
+    """The heatmap writer's reference: each clipped gray level as one byte."""
     if hi <= lo:
         hi = lo + 1.0
-    gray = np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(int)
+    gray = np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     h, w = gray.shape
-    return (f"P2\n{w} {h}\n255\n" + "".join(
-        " ".join(str(x) for x in row) + "\n" for row in gray)).encode()
+    return f"P5\n{w} {h}\n255\n".encode() + gray.tobytes()
 
 
 def csv_bytes(tmp_path, m):
@@ -114,7 +113,8 @@ def test_csv_block_boundaries(tmp_path, shape):
     assert csv_bytes(tmp_path, m) == per_element_csv(m)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (37, 5), (16, 3)])
+# (3, 0) and (0, 3): an empty map is its header alone
+@pytest.mark.parametrize("shape", [(1, 1), (37, 5), (16, 3), (3, 0), (0, 3)])
 def test_pgm_blocks_match_reference(tmp_path, shape):
     v = np.random.default_rng(6).uniform(-1.5, 1.5, shape)
     path = tmp_path / "h.pgm"
@@ -157,15 +157,11 @@ def test_pgm_any_memory_layout_matches_reference(tmp_path, layout):
     assert path.read_bytes() == per_element_pgm(v, -1.0, 1.0)
 
 
-def test_pgm_plain_format(tmp_path):
+def test_pgm_binary_format(tmp_path):
     path = tmp_path / "h.pgm"
     write_pgm(path, np.array([[-1.0, 0.0], [0.5, 1.0]]), -1.0, 1.0)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "2 2"
-    assert lines[2] == "255"
-    assert lines[3].split() == ["0", "128"]
-    assert lines[4].split() == ["191", "255"]
+    assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 191, 255])
+    assert pgm_gray(path).tolist() == [[0, 128], [191, 255]]
 
 
 def test_embedding_pair_round_trip(tmp_path, rng):
@@ -195,8 +191,11 @@ def test_similarity_export_with_sidecar(tmp_path, rng):
 
 
 def pgm_gray(path):
-    _, _, _, *rows = path.read_text().splitlines()
-    return np.array([[int(g) for g in row.split()] for row in rows])
+    """The gray levels of a P5 file, as an h x w array."""
+    magic, size, maxval, pixels = path.read_bytes().split(b"\n", 3)
+    assert (magic, maxval) == (b"P5", b"255")
+    w, h = map(int, size.split())
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w).astype(int)
 
 
 def test_dot_similarity_heatmap_spans_its_values(tmp_path):
