@@ -58,12 +58,6 @@ DEFAULT_PLAN = [
 # the solve section, read by solve, similarity and fullrank-check
 DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": DEFAULT_RANK}
 
-# Written by simulate next to its exports X.csv and ground_truth.json: the
-# resolved sim config X was drawn from, and the sampler that drew it. No
-# command reads those exports back; each draws X from its own config and
-# refuses a directory whose exports this record does not match.
-SIM_RECORD = "X.sim.json"
-
 # `similarity --kind user-user` refuses larger n: its n x n float64 matrix
 # would take 8 n^2 bytes, 200 MB at this n and 3.2 GB at the default n
 USER_USER_MAX_USERS = 5_000
@@ -143,6 +137,10 @@ def _resolve(args) -> Resolved:
         if args.command in ("solve", "similarity") and "rank" not in fields:
             raise ConfigError("solve.rank", "not set by the file or --rank, "
                                             f"and the built-in rank {bound}")
+    # a sample std needs 2 rows; refused by every subcommand, as a rank is
+    if solve.get("standardize") and sim.n < 2:
+        raise ConfigError("solve.standardize", "needs at least 2 rows, got "
+                                               f"sim.n = {sim.n}")
     out = Path(args.out or output.get("dir", "."))
     # _writing makes out and its parents: each that exists must be a directory
     for d in (out, *out.parents):
@@ -158,9 +156,9 @@ def _resolve(args) -> Resolved:
 def _writing(cfg: Resolved):
     """A staging directory in cfg.out for a command's files. Once they and
     manifest.json (the whole resolved config, flags applied, its hash, the
-    seed and the version, no timings, so reruns match) are written, each
-    moves to its place in cfg.out, manifest.json last; a failure before
-    that leaves cfg.out as it was."""
+    seed, the sampler and the version, no timings, so reruns match) are
+    written, each moves to its place in cfg.out, manifest.json last; a
+    failure before that leaves cfg.out as it was."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".writing-", dir=cfg.out))
     try:
@@ -182,39 +180,36 @@ def _writing(cfg: Resolved):
         shutil.rmtree(stage)
 
 
-def _sim_record(sim_cfg: SimConfig) -> dict:
-    return {**sim_cfg.to_dict(), "sampler": SAMPLER}
-
-
 def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
-    """Refuse an `out` whose X.csv or ground_truth.json has no record of this
-    config: its exports would sit beside outputs of another X."""
-    x_path = out / "X.csv"
-    if x_path.exists() or (out / "ground_truth.json").exists():
+    """Refuse an `out` holding X.csv or ground_truth.json unless its
+    manifest.json records this sim config and SAMPLER: an export would sit
+    beside the outputs of another X. No command reads the exports back."""
+    there = [f for f in ("X.csv", "ground_truth.json") if (out / f).exists()]
+    if there:
         try:
-            recorded = read_json(out / SIM_RECORD)
-        except (OSError, ValueError):
-            recorded = None
-        if not isinstance(recorded, dict):
-            recorded = {}
+            manifest = read_json(out / "manifest.json")
+            recorded = {**manifest["config"]["sim"],
+                        "sampler": manifest.get("sampler")}
+        except (OSError, ValueError, LookupError, TypeError):
+            recorded = {}  # no manifest, or not one a command wrote
         diff = ", ".join(f"{k} {recorded.get(k)!r} there, {v!r} here"
-                         for k, v in _sim_record(sim_cfg).items()
+                         for k, v in {**sim_cfg.to_dict(),
+                                      "sampler": SAMPLER}.items()
                          if recorded.get(k) != v)
         if diff:
-            raise ConfigError("sim", f"{x_path} was not simulated from this "
-                                     f"config ({diff}); use another --out or "
-                                     "rerun simulate")
+            raise ConfigError("sim", f"{out} holds {' and '.join(there)}, not "
+                                     f"simulated from this config ({diff}); "
+                                     "use another --out or rerun simulate")
 
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     sim_cfg, out = cfg.sim, cfg.out
     sample, gt = sample_interactions(sim_cfg)
-    # moved into out together: no export beside another config's record
+    # moved into out with the manifest that records their config
     with _writing(cfg) as stage:
         write_matrix_csv(stage / "X.csv", sample.rows)
         write_json(stage / "ground_truth.json", gt.to_dict())
-        write_json(stage / SIM_RECORD, _sim_record(sim_cfg))
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
 

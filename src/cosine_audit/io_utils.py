@@ -15,6 +15,7 @@ import numpy as np
 from .matrix_core import BinaryRows, as_matrix
 from .mf_solvers import EmbeddingPair
 from .similarity import SimilarityMatrix
+from .synthgen import SAMPLER
 
 FLOAT_FMT = "%.17g"
 # Matrices are formatted this many rows at a time, so an export adds only
@@ -273,6 +274,7 @@ def write_manifest(out_dir, config: dict, seed: int, version: str) -> None:
     write_json(Path(out_dir) / "manifest.json", {
         "config_sha256": config_hash(config),
         "seed": seed,
+        "sampler": SAMPLER,
         "version": version,
         "config": config,
     })

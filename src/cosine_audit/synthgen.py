@@ -26,8 +26,8 @@ MIN_ITEMS_PER_USER = 5
 DIRICHLET_CONCENTRATION = 0.5
 # users per block of sample_interactions' draws
 _USER_BLOCK = 1_000
-# names the sampler in each simulation record: a directory holding an X
-# drawn by another sampler is refused
+# names the sampler in every manifest.json: a directory holding an X drawn
+# by another sampler is refused
 SAMPLER = "successive-sampling"
 
 # SeedSequence.spawn gives the same first children whatever their number,

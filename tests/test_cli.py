@@ -46,6 +46,9 @@ class TestSimulate:
         assert len(gt["item_cluster"]) == 30
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
+        assert manifest["sampler"] == SAMPLER
+        assert sorted(f.name for f in out.iterdir()) == [
+            "X.csv", "ground_truth.json", "manifest.json"]
 
     def test_same_seed_identical_files(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -73,11 +76,12 @@ class TestSimulate:
         assert "C" in capsys.readouterr().err
 
     @pytest.mark.parametrize("last", ["X.csv", "ground_truth.json",
-                                      "X.sim.json", "manifest.json"])
+                                      "manifest.json"])
     def test_failed_rerun_leaves_no_export_beside_another_record(
             self, tmp_path, monkeypatch, capsys, last):
         # a rerun at another seed fails at `last`, after writing part of it;
-        # the last run's exports and their record stay as they were
+        # the last run's exports and the manifest recording them stay as
+        # they were
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -395,6 +399,25 @@ class TestStrictConfig:
         assert not out.exists()
         assert list(cwd.iterdir()) == []
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_standardize_one_row_exit_2_before_drawing(
+            self, tmp_path, monkeypatch, capsys, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew X")
+
+        monkeypatch.setattr(cli, "sample_interactions", forbidden)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "sim": {"n": 1, "p": 5, "C": 1, "cluster_probs": [1.0]},
+            "solve": {"rank": 1, "standardize": True},
+            "plan": [dict(ENTRY, rank=1)]}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: solve.standardize: needs at least 2 rows, got "
+            "sim.n = 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "fullrank-check"])
     def test_builtin_rank_unchecked_where_unsolved(self, tmp_path, command):
         cfg = write_config(tmp_path)
@@ -502,14 +525,15 @@ class TestStrictConfig:
         assert (tmp_path / "flag" / "X.csv").exists()
 
     def test_integer_numbers_written_as_floats(self, tmp_path):
-        # JSON integers are numbers; the record holds them as floats, as a
+        # JSON integers are numbers; the manifest holds them as floats, as a
         # config that spells them 1.0 does
         sim = dict(SIM, cluster_probs=[1, 0, 0], beta_user=1)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"sim": sim}))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-        record = json.loads((tmp_path / "out" / "X.sim.json").read_text())
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        record = manifest["config"]["sim"]
         assert record["cluster_probs"] == [1.0, 0.0, 0.0]
         assert all(isinstance(v, float)
                    for v in [*record["cluster_probs"], record["beta_user"]])
@@ -669,8 +693,10 @@ class TestAudit:
         cfg = write_config(tmp_path, {"plan": self.plan()})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        (out / "X.sim.json").unlink()
+        (out / "manifest.json").unlink()
+        last_run = tree(out)
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert tree(out) == last_run
 
     @pytest.mark.parametrize("kept", ["X.csv", "ground_truth.json"])
     def test_one_export_with_another_record_refused(self, tmp_path, kept):
@@ -684,19 +710,52 @@ class TestAudit:
                      "--seed", "99"]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("kept", [["X.csv"], ["ground_truth.json"],
+                                      ["X.csv", "ground_truth.json"]],
+                             ids=["x", "ground_truth", "both"])
+    def test_refusal_names_the_exports_there(self, tmp_path, capsys, kept):
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in {"X.csv", "ground_truth.json"} - set(kept):
+            (out / name).unlink()
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--seed", "99"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: sim: {out} holds {' and '.join(kept)}, not "
+            "simulated from this config (seed 11 there, 99 here); ")
+
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]", "null",
+                                      '{"config": 5, "sampler": null}'],
+                             ids=["malformed", "list", "null",
+                                  "config_not_an_object"])
+    def test_unreadable_manifest_beside_x_refused(self, tmp_path, capsys,
+                                                   text):
+        cfg = write_config(tmp_path, {"plan": self.plan()})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "manifest.json").write_text(text)
+        last_run = tree(out)
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sim: {out} holds X.csv and "
+                              "ground_truth.json, not simulated from this "
+                              "config (n None there, 120 here, ")
+        assert tree(out) == last_run
+
     @pytest.mark.parametrize("sampler", [None, "gumbel-top-k"])
     def test_x_from_another_sampler_refused(self, tmp_path, capsys, sampler):
         # an X.csv drawn by another sampler differs from a fresh run's
         cfg = write_config(tmp_path, {"plan": self.plan()})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        record = json.loads((out / "X.sim.json").read_text())
-        assert record["sampler"] == SAMPLER
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sampler"] == SAMPLER
         if sampler is None:
-            del record["sampler"]
+            del manifest["sampler"]
         else:
-            record["sampler"] = sampler
-        (out / "X.sim.json").write_text(json.dumps(record))
+            manifest["sampler"] = sampler
+        (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"sampler {sampler!r} there, {SAMPLER!r} here" in err
@@ -1267,7 +1326,7 @@ def test_exports_never_read_back(tmp_path, command):
     assert main([command, "--config", str(cfg), "--out", str(warm)]) == code
     cold_files, warm_files = tree(cold), tree(warm)
     assert cold_files
-    assert not {"X.csv", "ground_truth.json", cli.SIM_RECORD} & set(cold_files)
+    assert not {"X.csv", "ground_truth.json"} & set(cold_files)
     assert {name: warm_files[name] for name in cold_files} == cold_files
     for name in set(warm_files) - set(cold_files):
         assert warm_files[name] == simulated[name], name
@@ -1307,7 +1366,7 @@ class TestManifest:
         manifest = json.loads((outs[0] / "manifest.json").read_text())
         assert manifest == {
             "config_sha256": config_hash(manifest["config"]), "seed": 5,
-            "version": __version__,
+            "sampler": SAMPLER, "version": __version__,
             "config": {"sim": SimConfig.from_dict(dict(SIM, seed=5)).to_dict(),
                        "plan": [dict(ENTRY, family="identity")],
                        "solve": dict(ENTRY, family="identity",
