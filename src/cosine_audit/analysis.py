@@ -6,15 +6,15 @@ recovery score against the simulator's ground-truth clusters.
 product-regularized solver. `compare_configurations` runs a plan of
 (objective, lambda, rank, family) choices over one data matrix and
 collects one contrast per choice, without forming any p x p matrix, from
-the spectrum of X, taken once; `figure_similarity` builds one result's
-item-item cosine matrix for export from the unit rows that result keeps.
+the spectrum of X, taken once; `figure_similarity` exports one result as
+`item_item` of the pair that result keeps, in figure order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -229,7 +229,7 @@ class PlanResult:
     contrast: ClusterContrast
     excluded_items: tuple[int, ...]
     effective_rank: int  # nonzero columns of B after shrinkage
-    units: np.ndarray = field(repr=False, compare=False)  # B's kept unit rows
+    pair: EmbeddingPair = field(repr=False, compare=False)  # the entry's solve
 
     @property
     def degenerate(self) -> bool:
@@ -294,26 +294,24 @@ def run_plan_entry(spec: Spectrum, gt: GroundTruth,
         contrast=_unit_contrast(units, np.delete(gt.item_cluster, zero)),
         excluded_items=tuple(int(i) for i in zero),
         effective_rank=int(np.count_nonzero(pair.B.any(axis=0))),
-        units=units)
+        pair=pair)
     if res.degenerate:
-        warnings.warn(f"degenerate plan entry {entry.label()}: "
-                      f"effective_rank={res.effective_rank} "
-                      f"rank={entry.rank}; its cosines are all +-1 and its "
-                      "contrast is not a finding", RuntimeWarning,
-                      stacklevel=2)
+        what = ("every item is excluded and the entry has no cosines"
+                if res.effective_rank == 0 else
+                "its cosines are all +-1 and its contrast is not a finding")
+        warnings.warn(f"degenerate plan entry {entry.label()}: effective_rank="
+                      f"{res.effective_rank} rank={entry.rank}; {what}",
+                      RuntimeWarning, stacklevel=2)
     return res
 
 
 def figure_similarity(res: PlanResult, order: np.ndarray) -> SimilarityMatrix:
-    """`res`'s item-item cosine matrix, its items in `order` (figure order)."""
-    # in item order, then reordered: reordering first changes the last bits;
-    # the copy keeps numpy on gemm, as similarity._cosine_sided explains
-    values = res.units @ res.units.copy().T
-    keep = np.delete(np.arange(order.shape[0]), res.excluded_items)
+    """`item_item` of `res`'s pair, its kept items in `order` (figure order)."""
+    # in item order, then reordered: reordering first changes the last bits
+    sim = item_item(None, res.pair, on_zero="drop")
+    keep = np.delete(np.arange(order.shape[0]), sim.excluded_rows)
     kept_order = np.searchsorted(keep, order[np.isin(order, keep)])
-    return SimilarityMatrix(values[np.ix_(kept_order, kept_order)],
-                            KIND_ITEM_ITEM, METRIC_COSINE,
-                            res.excluded_items, res.excluded_items)
+    return replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
 
 
 def compare_configurations(X, gt: GroundTruth,

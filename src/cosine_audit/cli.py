@@ -304,7 +304,7 @@ def cmd_audit(args) -> int:
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
     spec, gt = _audit_input(sim_cfg)
     # the report, its warnings and its first compute error, before any
-    # file is written; the exports format its unit rows
+    # file is written; the exports take its pairs
     report = compare_configurations(spec, gt, plan)
     order = figure_item_order(gt)
     # equal entries, and only they, share a label and one set of files,

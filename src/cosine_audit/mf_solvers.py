@@ -1,19 +1,18 @@
 """Closed-form solvers for the two regularized factorization objectives.
 
-Objective 1 (product-reg) penalizes the product of the factors:
+Objective 1 (product-reg) penalizes the product of the factors, objective 2
+(split-reg) the user and item factors separately:
     ||X - X A B^T||_F^2 + lambda * ||A B^T||_F^2
-Its minimizer is A = B = V_k diag((1 + lambda/sigma_i^2)^(-1/2)) and is only
-determined up to an arbitrary diagonal rescaling of the latent dimensions
-(see the rescale module).
-
-Objective 2 (split-reg) penalizes the user and item factors separately:
     ||X - X A B^T||_F^2 + lambda * (||X A||_F^2 + ||B||_F^2)
-Its minimizer is unique up to rotation:
-    A = V_k diag(sqrt((1/sigma_i) * max(0, 1 - lambda/sigma_i)))
-    B = V_k diag(sqrt(sigma_i * max(0, 1 - lambda/sigma_i)))
+Both minimizers keep, per retained dimension, the weight
+    m_i = max(0, 1 - lambda_s/sigma_i) / (1 + lambda_p/sigma_i^2)
+split as A = V_k diag(sqrt(m_i / sigma_i^e)), B = V_k diag(sqrt(m_i sigma_i^e)).
+Objective 1 is the corner (lambda_p, lambda_s, e) = (lambda, 0, 0): A = B,
+determined only up to a diagonal rescaling (see the rescale module).
+Objective 2 is (0, lambda, 1), unique up to rotation; its B/A = sigma_i is
+the `symmetric-matching` rescaling of objective 1.
 
-A full-batch gradient-descent oracle is included for independent
-verification of both closed forms on small instances.
+A full-batch gradient-descent oracle checks both on small instances.
 """
 
 from __future__ import annotations
@@ -52,41 +51,33 @@ class EmbeddingPair:
                              f"got {self.objective!r}")
 
 
-def _top(X, k: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, V) of the top k dimensions of X, given as a matrix or as its
-    Spectrum; validates k and lambda."""
+def _closed_form(X, k: int, lam: float, objective: int) -> EmbeddingPair:
+    """The minimizer of the module docstring from the top k dimensions of X,
+    given as a matrix or as its Spectrum; validates k and lambda."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     spec = X if isinstance(X, Spectrum) else spectrum(X)
-    return spec.top(k)
+    s, v = spec.top(k)
+    lam_p, lam_s, e = ((lam, 0.0, 0) if objective == OBJECTIVE_PRODUCT_REG
+                       else (0.0, lam, 1))
+    pos = s > 0
+    safe = np.where(pos, s, 1.0)
+    m = np.where(pos, np.maximum(0.0, 1.0 - lam_s / safe)
+                 / (1.0 + lam_p / safe ** 2), 0.0)
+    A, B = v * np.sqrt(m / safe ** e), v * np.sqrt(m * safe ** e)
+    return EmbeddingPair(A, B, lam, k, objective, s.copy())
 
 
 def solve_objective1(X, k: int, lam: float) -> EmbeddingPair:
-    """Closed form of the product-regularized objective (symmetric split).
-
-    X is the n x p training matrix or its `Spectrum`.
-    """
-    s, v = _top(X, k, lam)
-    pos = s > 0
-    shrink = np.where(pos, 1.0 / (1.0 + lam / np.where(pos, s, 1.0) ** 2), 0.0)
-    A = v * np.sqrt(shrink)
-    return EmbeddingPair(A=A, B=A.copy(), lam=lam, rank=k,
-                         objective=OBJECTIVE_PRODUCT_REG, sigma=s.copy())
+    """Objective 1's minimizer with A = B; X is the training matrix or its
+    `Spectrum`."""
+    return _closed_form(X, k, lam, OBJECTIVE_PRODUCT_REG)
 
 
 def solve_objective2(X, k: int, lam: float) -> EmbeddingPair:
-    """Closed form of the split-regularized objective (unique up to rotation).
-
-    X is the n x p training matrix or its `Spectrum`.
-    """
-    s, v = _top(X, k, lam)
-    pos = s > 0
-    safe = np.where(pos, s, 1.0)
-    gain = np.where(pos, np.maximum(0.0, 1.0 - lam / safe), 0.0)
-    A = v * np.sqrt(gain / safe)
-    B = v * np.sqrt(gain * safe)
-    return EmbeddingPair(A=A, B=B, lam=lam, rank=k,
-                         objective=OBJECTIVE_SPLIT_REG, sigma=s.copy())
+    """Objective 2's minimizer (unique up to rotation); X is the training
+    matrix or its `Spectrum`."""
+    return _closed_form(X, k, lam, OBJECTIVE_SPLIT_REG)
 
 
 def objective1_loss(X, A, B, lam: float) -> float:

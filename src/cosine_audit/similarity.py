@@ -32,8 +32,12 @@ class SimilarityMatrix:
     excluded_cols: tuple[int, ...] = ()
 
 
-def _cosine_sided(left: np.ndarray, right: np.ndarray, kind: str,
-                  on_zero: str) -> SimilarityMatrix:
+def _similarity(left: np.ndarray, right: np.ndarray, kind: str, metric: str,
+                on_zero: str) -> SimilarityMatrix:
+    if metric == METRIC_DOT:
+        return SimilarityMatrix(values=left @ right.T, kind=kind, metric=METRIC_DOT)
+    if metric != METRIC_COSINE:
+        raise ValueError(f"unknown metric {metric!r}")
     # two normalize_rows calls even when left is right: one array on both
     # sides would send the product to syrk, whose last bits may differ
     (nl, zl), (nr, zr) = normalize_rows(left), normalize_rows(right)
@@ -44,15 +48,6 @@ def _cosine_sided(left: np.ndarray, right: np.ndarray, kind: str,
     return SimilarityMatrix(values=nl @ nr.T, kind=kind, metric=METRIC_COSINE,
                             excluded_rows=tuple(int(i) for i in zl),
                             excluded_cols=tuple(int(i) for i in zr))
-
-
-def _similarity(left: np.ndarray, right: np.ndarray, kind: str, metric: str,
-                on_zero: str) -> SimilarityMatrix:
-    if metric == METRIC_DOT:
-        return SimilarityMatrix(values=left @ right.T, kind=kind, metric=METRIC_DOT)
-    if metric != METRIC_COSINE:
-        raise ValueError(f"unknown metric {metric!r}")
-    return _cosine_sided(left, right, kind, on_zero)
 
 
 def item_item(X, pair: EmbeddingPair, metric: str = METRIC_COSINE,

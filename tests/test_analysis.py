@@ -381,6 +381,28 @@ class TestCompareConfigurations:
         assert (full["effective_rank"], full["degenerate"]) == (3, False)
         assert "effective_rank" not in shrunk["entry"]
 
+    def test_effective_rank_zero_has_no_cosines(self):
+        # sigma = (10, 2, 1): objective 2 with lambda = 20 keeps nothing
+        gen = np.random.default_rng(8)
+        u, _ = np.linalg.qr(gen.standard_normal((30, 3)))
+        v, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+        x = (u * [10.0, 2.0, 1.0]) @ v.T
+        gt = GroundTruth(item_cluster=np.array([0, 0, 1]),
+                         item_popularity=np.ones(3),
+                         cluster_exponents=np.ones(2),
+                         user_prefs=np.full((30, 2), 0.5))
+        with pytest.warns(RuntimeWarning) as caught:
+            report = compare_configurations(x, gt, [PlanEntry(2, 20.0, 3)])
+        assert [str(w.message) for w in caught] == [
+            "degenerate plan entry obj2_lam20_k3_identity: effective_rank=0 "
+            "rank=3; every item is excluded and the entry has no cosines"]
+        res = report.results[0]
+        assert (res.effective_rank, res.excluded_items) == (0, (0, 1, 2))
+        assert res.contrast.contrast is None
+        export = figure_similarity(res, figure_item_order(gt))
+        assert export.values.shape == (0, 0)
+        assert export.excluded_rows == (0, 1, 2)
+
     def test_export_gets_each_result_and_report_drops_its_matrix(self, desk_data):
         # the report holds no matrix; each entry's export is built from its
         # own result's unit rows, which report.json, repr and == leave out,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosine_audit.matrix_core import spectrum, svd
+from cosine_audit.analysis import PlanEntry, solve_plan_entry
+from cosine_audit.matrix_core import Spectrum, spectrum, svd
 from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
                                      OBJECTIVE_SPLIT_REG, EmbeddingPair,
                                      gradient_descent_oracle,
@@ -10,6 +13,7 @@ from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
                                      predicted_scores, solve_objective1,
                                      solve_objective2)
 from cosine_audit.rescale import apply_scaling, random_scaling
+from cosine_audit.synthgen import SimConfig, sample_interactions
 
 # test ids name each objective as the module docstring does
 OBJECTIVE_IDS = {OBJECTIVE_PRODUCT_REG: "product-reg",
@@ -140,6 +144,75 @@ class TestSolveObjective2:
         p2 = solve_objective2(small_x.copy(), 3, 0.7)
         assert np.array_equal(p1.A, p2.A)
         assert np.array_equal(p1.B, p2.B)
+
+
+def two_formula_pair(s, v, lam, objective):
+    """(A, B) by the two closed forms that one law replaced, written out."""
+    pos = s > 0
+    safe = np.where(pos, s, 1.0)
+    if objective == OBJECTIVE_PRODUCT_REG:
+        A = v * np.sqrt(np.where(pos, 1.0 / (1.0 + lam / safe**2), 0.0))
+        return A, A.copy()
+    gain = np.where(pos, np.maximum(0.0, 1.0 - lam / safe), 0.0)
+    return v * np.sqrt(gain / safe), v * np.sqrt(gain * safe)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A Spectrum with some zero sigma, its rank k, and a lambda that is 0,
+    between sigma_k and sigma_1, or at least sigma_1."""
+    p = draw(st.integers(1, 6))
+    zeros = draw(st.integers(0, p - 1))
+    s = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=p - zeros,
+                             max_size=p - zeros)), reverse=True)
+    s = np.array(s + [0.0] * zeros)
+    seed = draw(st.integers(0, 2**32 - 1))
+    v = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))[0]
+    k = draw(st.integers(1, p))
+    u = draw(st.floats(0.0, 1.0))
+    lam = draw(st.sampled_from(("zero", "between", "above")))
+    lam = {"zero": 0.0, "between": s[k - 1] + u * (s[0] - s[k - 1]),
+           "above": s[0] * (1.0 + u)}[lam]
+    return Spectrum(singular_values=s, right=v), k, lam
+
+
+class TestOneClosedForm:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(spectrum_cases())
+    def test_both_solvers_give_the_two_formulas_bits(self, case):
+        spec, k, lam = case
+        s, v = spec.top(k)
+        for objective, solver in ((OBJECTIVE_PRODUCT_REG, solve_objective1),
+                                  (OBJECTIVE_SPLIT_REG, solve_objective2)):
+            pair = solver(spec, k, lam)
+            want_a, want_b = two_formula_pair(s, v, lam, objective)
+            assert np.array_equal(pair.A, want_a)
+            assert np.array_equal(pair.B, want_b)
+            assert pair.objective == objective
+            assert np.array_equal(pair.sigma, s)
+        if lam >= s[0]:
+            # objective 2 keeps nothing
+            assert not solve_objective2(spec, k, lam).B.any()
+
+    @pytest.mark.parametrize("objective, family", [
+        (OBJECTIVE_SPLIT_REG, "identity"),
+        (OBJECTIVE_PRODUCT_REG, "symmetric-matching")])
+    def test_split_penalty_is_the_symmetric_matching_gauge(self, objective,
+                                                           family):
+        # B[:, i] / A[:, i] = sigma_i on every kept dimension
+        cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)
+        spec = spectrum(sample_interactions(cfg)[0].rows)
+        lam = float(np.median(spec.singular_values[:20]))
+        pair = solve_plan_entry(spec, PlanEntry(objective, lam, 20, family))
+        kept = pair.B.any(axis=0)
+        assert kept.any()
+        if objective == OBJECTIVE_SPLIT_REG:
+            assert not kept.all()  # this lambda drops some dimensions
+        a, b = pair.A[:, kept], pair.B[:, kept]
+        on = a != 0
+        sigma = np.broadcast_to(pair.sigma[kept], a.shape)
+        assert np.allclose(b[on] / a[on], sigma[on], rtol=1e-12, atol=0)
 
 
 def test_embedding_pair_rejects_bad_shapes():
