@@ -4,9 +4,9 @@
 recovery score against the simulator's ground-truth clusters.
 `audit_full_rank` checks the exact full-rank identities of the
 product-regularized solver. `compare_configurations` runs a plan of
-(objective, lambda, rank, family) choices over one data matrix and
-collects one contrast per choice, without forming any p x p matrix, from
-the spectrum of X, taken once; `figure_similarity` exports one result as
+(objective, lambda, rank, family) choices and collects one contrast per
+choice, without forming any p x p matrix, from the one `Spectrum` of X it
+is given; `figure_similarity` exports one result as
 `item_item` of the pair that result keeps, in figure order.
 """
 
@@ -182,8 +182,8 @@ def _user_cosine_gap(X: np.ndarray, pair: EmbeddingPair) -> float:
         raise ZeroRowError(int(bad[0]))
     total = 0.0
     for lo in range(0, X.shape[0], _USER_BLOCK):
-        gap = (emb[lo:lo + _USER_BLOCK] @ emb.T
-               - raw[lo:lo + _USER_BLOCK] @ raw.T)
+        gap = emb[lo:lo + _USER_BLOCK] @ emb.T
+        gap -= raw[lo:lo + _USER_BLOCK] @ raw.T
         total += float(np.einsum("ij,ij->", gap, gap))
     return math.sqrt(total)
 
@@ -314,14 +314,10 @@ def figure_similarity(res: PlanResult, order: np.ndarray) -> SimilarityMatrix:
     return replace(sim, values=sim.values[np.ix_(kept_order, kept_order)])
 
 
-def compare_configurations(X, gt: GroundTruth,
+def compare_configurations(spec: Spectrum, gt: GroundTruth,
                            plan: list[PlanEntry]) -> AuditReport:
-    """One cluster contrast per plan entry, in plan order.
-
-    X is a dense matrix, `BinaryRows` or its `Spectrum`. Its spectrum is
-    taken once and shared by every entry.
-    """
-    spec = X if isinstance(X, Spectrum) else spectrum(X)
+    """One cluster contrast per plan entry, in plan order, all from the one
+    spectrum of X."""
     # one-hot cluster rows: their cosines are ground_truth_similarity(gt)
     clusters = gt.item_cluster
     one_hot = np.eye(clusters.max() + 1)[clusters]

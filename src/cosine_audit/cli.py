@@ -205,10 +205,10 @@ def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     sim_cfg, out = cfg.sim, cfg.out
-    sample, gt = sample_interactions(sim_cfg)
+    X, gt = sample_interactions(sim_cfg)
     # moved into out with the manifest that records their config
     with _writing(cfg) as stage:
-        write_matrix_csv(stage / "X.csv", sample.rows)
+        write_matrix_csv(stage / "X.csv", X)
         write_json(stage / "ground_truth.json", gt.to_dict())
     print(f"wrote {out / 'X.csv'} ({sim_cfg.n}x{sim_cfg.p}) and ground_truth.json")
     return EXIT_OK
@@ -217,9 +217,8 @@ def cmd_simulate(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _resolve(args)
     entry, out = cfg.solve, cfg.out
-    X = sample_interactions(cfg.sim)[0].rows
-    pair = solve_plan_entry(standardize(X)[0] if cfg.standardize else X,
-                            entry)
+    X = sample_interactions(cfg.sim)[0]
+    pair = solve_plan_entry(standardize(X) if cfg.standardize else X, entry)
     pair_dir = f"pair_obj{entry.objective}"
     with _writing(cfg) as stage:
         write_embedding_pair(stage / pair_dir, pair)
@@ -233,8 +232,8 @@ def cmd_similarity(args) -> int:
     if args.kind == "user-user" and n > USER_USER_MAX_USERS:
         raise ConfigError("kind", f"user-user needs an n x n matrix and n = "
                                   f"{n} > {USER_USER_MAX_USERS}")
-    X = sample_interactions(cfg.sim)[0].rows
-    X = standardize(X)[0] if cfg.standardize else X
+    X = sample_interactions(cfg.sim)[0]
+    X = standardize(X) if cfg.standardize else X
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
     sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
@@ -289,12 +288,12 @@ def _audit_input(sim_cfg: SimConfig):
         with shared:
             def count():
                 np.frombuffer(shared).reshape(p, p)[:] = (
-                    sample_interactions(sim_cfg)[0].rows.gram())
+                    sample_interactions(sim_cfg)[0].gram())
             if os.waitpid(_forked(count), 0)[1] == 0:
                 gram = np.frombuffer(shared).reshape(p, p).copy()
     if gram is None:
-        sample, gt = sample_interactions(sim_cfg)
-        return spectrum(sample.rows), gt
+        X, gt = sample_interactions(sim_cfg)
+        return spectrum(X), gt
     spec = Spectrum.of_gram(gram, sim_cfg.n)
     return spec, sample_ground_truth(sim_cfg)  # imports numpy.random: after eigh
 
@@ -354,7 +353,7 @@ def cmd_fullrank_check(args) -> int:
     n, p = cfg.sim.n, cfg.sim.p
     if p > n:
         raise ConfigError("sim.p", f"full-rank check needs p <= n, got {n}x{p}")
-    X = sample_interactions(cfg.sim)[0].rows
+    X = sample_interactions(cfg.sim)[0]
     audit = audit_full_rank(X, cfg.solve.lam)
     with _writing(cfg) as stage:
         write_json(stage / "fullrank_report.json", audit.to_dict())

@@ -4,7 +4,9 @@ SVD, row normalization, cosine of rows.
 Matrices are plain float64 numpy arrays, except a 0/1 interaction matrix,
 which `BinaryRows` holds as the column indices of its ones: `spectrum`
 counts its Gram from those indices, and `as_matrix` densifies it where its
-rows are multiplied. Tolerance conventions used throughout the package:
+rows are multiplied. The CLI decomposes X only through `spectrum`; `svd`,
+the plain triple (U, sigma, V) of a dense matrix, is the reference it is
+tested against. Tolerance conventions used throughout the package:
 1e-12 for exact algebraic identities on small matrices, 1e-8 for
 orthonormality, 1e-6 for identities that flow through a full SVD at desk
 scale.
@@ -56,14 +58,24 @@ class BinaryRows:
         if idx.size and (idx.min() < 0 or idx.max() >= p):
             raise ValueError(f"column index out of range [0, {p})")
 
+    @property
+    def items_per_user(self) -> np.ndarray:
+        """(n,) the number of ones of each row."""
+        return np.diff(self.indptr)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (n, p) 0/1 float64 matrix, `dense()`; perfbench's
+        reference solve reads it."""
+        return self.dense()
+
     def dense(self, lo: int = 0, hi: int | None = None,
               dtype=np.float64) -> np.ndarray:
         """Rows lo:hi as a dense array of 0s and 1s."""
         lo, hi, _ = slice(lo, hi).indices(self.shape[0])
         hi = max(hi, lo)
         out = np.zeros((hi - lo, self.shape[1]), dtype=dtype)
-        lengths = np.diff(self.indptr[lo:hi + 1])
-        out[np.repeat(np.arange(hi - lo), lengths),
+        out[np.repeat(np.arange(hi - lo), self.items_per_user[lo:hi]),
             self.indices[self.indptr[lo]:self.indptr[hi]]] = 1
         return out
 
@@ -78,7 +90,7 @@ class BinaryRows:
         below 2^53, exact as the dense product's partial sums are.
         """
         p, nnz = self.shape[1], self.indices.shape[0]
-        lengths = np.diff(self.indptr)
+        lengths = self.items_per_user
         per_one = np.repeat(lengths, lengths)  # pairs of each one of X
         row_start = np.repeat(self.indptr[:-1], lengths)
         first = np.cumsum(per_one) - per_one  # index of each one's first pair
@@ -93,23 +105,6 @@ class BinaryRows:
             pairs += self.indices[np.repeat(row_start[a:b], k) + within]
             np.add.at(counts, pairs, 1.0)  # an int 1 runs 6x slower
         return counts.reshape(p, p)
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Truncated SVD triple: ``left @ diag(singular_values) @ right.T``.
-
-    Columns of `left` and `right` are orthonormal; singular values are
-    sorted descending. Signs are fixed so the largest-magnitude entry of
-    each right singular vector is positive.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
 
 
 def as_matrix(values) -> np.ndarray:
@@ -188,10 +183,11 @@ def spectrum(m) -> Spectrum:
     return Spectrum.of_gram(m.T @ m, m.shape[0])
 
 
-def svd(m: np.ndarray, r: int) -> SvdFactors:
-    """Rank-r truncated SVD with a deterministic sign convention.
+def svd(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-r truncated SVD (U, sigma, V) with m ~= (U * sigma) @ V.T.
 
-    The sign of each singular-vector pair is flipped so that the entry of
+    Columns of U and V are orthonormal; sigma is sorted descending. The
+    sign of each singular-vector pair is flipped so that the entry of
     largest magnitude in each right singular vector is positive, making the
     factors reproducible across runs and platforms.
     """
@@ -204,7 +200,7 @@ def svd(m: np.ndarray, r: int) -> SvdFactors:
     v = vt.T
     # sign convention keyed on the right singular vectors
     signs = _fix_signs(v)
-    return SvdFactors(left=u * signs, singular_values=s, right=v * signs)
+    return u * signs, s, v * signs
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Workarounds for the rescaling ambiguity of embedding cosine similarity.
 
-Two concrete remedies: standardize the data before training, and compute
-cosine on back-projections X @ A @ B^T in the original interaction space.
-The back-projection depends only on the product A B^T, which is unique, so
-it is immune to both diagonal rescaling and rotation of the factors.
+Two concrete remedies: standardize the data before training (nothing
+inverts it), and compute cosine on back-projections X @ A @ B^T in the
+original interaction space. The back-projection depends only on the product
+A B^T, which is unique, so it is immune to both diagonal rescaling and
+rotation of the factors.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from .similarity import (KIND_ITEM_ITEM, KIND_USER_USER, METRIC_COSINE,
                          SimilarityMatrix)
 
 
-def standardize(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center each column to mean 0 and scale to sample std 1 (ddof=1).
-
-    Returns (standardized matrix, column means, column stds) so the
-    transform can be inverted.
-    """
+def standardize(X) -> np.ndarray:
+    """X with each column centered to mean 0 and scaled to sample std 1
+    (ddof=1)."""
     X = as_matrix(X)
     if X.shape[0] < 2:
         raise ValueError("standardize needs at least 2 rows")
@@ -31,7 +29,7 @@ def standardize(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bad = np.flatnonzero(stds < 1e-300)
     if bad.size:
         raise ZeroVarianceError(int(bad[0]))
-    return (X - means) / stds, means, stds
+    return (X - means) / stds
 
 
 def backprojected_user_cosine(X, pair: EmbeddingPair) -> SimilarityMatrix:

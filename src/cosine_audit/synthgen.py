@@ -123,20 +123,6 @@ class GroundTruth:
         }
 
 
-@dataclass(frozen=True)
-class InteractionSample:
-    rows: BinaryRows  # (n, p) binary interactions
-
-    @property
-    def items_per_user(self) -> np.ndarray:  # read by perfbench's tracer
-        return np.diff(self.rows.indptr)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (n, p) 0/1 float64 matrix."""
-        return self.rows.dense()
-
-
 def _streams(seed: int) -> dict[str, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(len(_STREAMS))
     return {name: np.random.default_rng(ss) for name, ss in zip(_STREAMS, children)}
@@ -201,7 +187,7 @@ def _cluster_tables(gt: GroundTruth, C: int):
     return order, starts, ends, cum_pop, totals
 
 
-def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTruth]:
+def sample_interactions(config: SimConfig) -> tuple[BinaryRows, GroundTruth]:
     """X and its ground truth: each user u picks k_u distinct items, with
     the successive-sampling law of the weights prefs[u, cluster] * popularity
     (each next item drawn with probability proportional to its weight among
@@ -265,9 +251,8 @@ def sample_interactions(config: SimConfig) -> tuple[InteractionSample, GroundTru
         blocks.append(np.sort(chosen) % p)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(k_u, out=indptr[1:])
-    rows = BinaryRows(indptr=indptr, indices=np.concatenate(blocks),
-                      shape=(n, p))
-    return InteractionSample(rows=rows), gt
+    return BinaryRows(indptr=indptr, indices=np.concatenate(blocks),
+                      shape=(n, p)), gt
 
 
 def _complete(gt: GroundTruth, lo: int, short: np.ndarray, got: np.ndarray,

@@ -12,7 +12,7 @@ import pytest
 from cosine_audit.analysis import (PlanEntry, cluster_contrast,
                                    compare_configurations)
 from cosine_audit.cli import main
-from cosine_audit.matrix_core import cosine_of_rows, svd
+from cosine_audit.matrix_core import cosine_of_rows, spectrum, svd
 from cosine_audit.mf_solvers import (OBJECTIVE_PRODUCT_REG,
                                      OBJECTIVE_SPLIT_REG,
                                      gradient_descent_oracle,
@@ -42,8 +42,8 @@ def fullrank_pair(dense_x):
 @pytest.fixture(scope="module")
 def desk_instance():
     cfg = SimConfig.uniform_clusters(2_000, 200, 5, seed=7)
-    sample, gt = sample_interactions(cfg)
-    return sample.matrix, gt
+    x, gt = sample_interactions(cfg)
+    return x.matrix, gt
 
 
 def test_criterion_1_collapse_identity(dense_x, fullrank_pair):
@@ -115,15 +115,14 @@ def test_criterion_6_objective2_structure():
     worst_col = 0.0
     for inst in range(5):
         x = np.random.default_rng(2000 + inst).standard_normal((20, 10))
-        f = svd(x, 4)
-        lam = 0.5 * f.singular_values[2]  # keeps some dims, kills none/some
+        u, s, _ = svd(x, 4)
+        lam = 0.5 * s[2]  # keeps some dims, kills none/some
         pair = solve_objective2(x, 4, lam)
         xa = x @ pair.A
         n_xa = np.linalg.norm(xa) ** 2
         n_b = np.linalg.norm(pair.B) ** 2
         worst_sym = max(worst_sym, abs(n_xa - n_b) / max(n_xa, 1e-300))
-        expected = f.left * np.sqrt(
-            f.singular_values * np.maximum(0, 1 - lam / f.singular_values))
+        expected = u * np.sqrt(s * np.maximum(0, 1 - lam / s))
         worst_col = max(worst_col, np.linalg.norm(xa - expected))
     report(6, f"||XA||^2 == ||B||^2 (rel {worst_sym:.2e} <= 1e-8) and XA "
               f"matches U_k spectrum map ({worst_col:.2e} <= 1e-8)",
@@ -135,7 +134,7 @@ def test_criterion_7_arbitrariness_at_desk_scale(desk_instance):
     x, gt = desk_instance
     plan = [PlanEntry(1, 10_000.0, 20, f)
             for f in ("collapse", "identity", "inverse")]
-    rep = compare_configurations(x, gt, plan)
+    rep = compare_configurations(spectrum(x), gt, plan)
     contrasts = [r.contrast.contrast for r in rep.results]
     span = max(contrasts) - min(contrasts)
 
@@ -145,7 +144,8 @@ def test_criterion_7_arbitrariness_at_desk_scale(desk_instance):
     # under rotations, objective 2's only gauge
     solves = [solve_objective2(x.copy(), 20, 10.0) for _ in range(3)]
     factor_dev = max(np.abs(s.B - solves[0].B).max() for s in solves[1:])
-    reports = [compare_configurations(x, gt, [PlanEntry(2, 10.0, 20)])
+    reports = [compare_configurations(spectrum(x), gt,
+                                      [PlanEntry(2, 10.0, 20)])
                for _ in range(3)]
     degenerate = any(r.results[0].degenerate for r in reports)
     obj2 = [r.results[0].contrast.contrast for r in reports]

@@ -23,15 +23,15 @@ from cosine_audit.synthgen import (GroundTruth, SimConfig,
 @pytest.fixture(scope="module")
 def desk_data():
     cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)
-    sample, gt = sample_interactions(cfg)
-    return sample.matrix, gt
+    x, gt = sample_interactions(cfg)
+    return x.matrix, gt
 
 
 @pytest.fixture(scope="module")
 def desk_rows():
     """desk_data's X as BinaryRows."""
     cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)
-    return sample_interactions(cfg)[0].rows
+    return sample_interactions(cfg)[0]
 
 
 def reference_export(x, gt, entry):
@@ -92,7 +92,7 @@ class TestClusterContrast:
                          user_prefs=np.ones((2, max(clusters) + 1)))
         dense = cluster_contrast(item_sim(ground_truth_similarity(gt)), gt)
         x = np.ones((2, len(clusters)))
-        got = compare_configurations(x, gt, []).ground_truth_contrast
+        got = compare_configurations(spectrum(x), gt, []).ground_truth_contrast
         # the means are exact: 1.0, 0.0 or None, as report.json prints them
         assert json.dumps(got.to_dict()) == json.dumps(dense.to_dict())
 
@@ -244,7 +244,7 @@ class TestContrastInPk:
     @given(contrast_cases())
     def test_ground_truth_contrast_is_that_of_its_matrix(self, case):
         x, gt, _ = case
-        got = compare_configurations(x, gt, []).ground_truth_contrast
+        got = compare_configurations(spectrum(x), gt, []).ground_truth_contrast
         want = cluster_contrast(item_sim(ground_truth_similarity(gt)), gt)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
@@ -252,7 +252,8 @@ class TestContrastInPk:
 class TestCompareConfigurations:
     def test_single_entry(self, desk_data):
         x, gt = desk_data
-        report = compare_configurations(x, gt, [PlanEntry(1, 10.0, 10)])
+        report = compare_configurations(spectrum(x), gt,
+                                        [PlanEntry(1, 10.0, 10)])
         assert len(report.results) == 1
         assert report.ground_truth_contrast.contrast == 1.0
 
@@ -289,14 +290,15 @@ class TestCompareConfigurations:
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, f)
                 for f in ("collapse", "identity", "inverse")]
-        report = compare_configurations(x, gt, plan)
+        report = compare_configurations(spectrum(x), gt, plan)
         contrasts = [r.contrast.contrast for r in report.results]
         assert max(contrasts) - min(contrasts) > 1e-3
 
     def test_objective2_repeatable(self, desk_data):
         x, gt = desk_data
         plan = [PlanEntry(2, 5.0, 10)]
-        runs = [compare_configurations(x, gt, plan) for _ in range(2)]
+        runs = [compare_configurations(spectrum(x), gt, plan)
+                for _ in range(2)]
         order = figure_item_order(gt)
         v1, v2 = (figure_similarity(r.results[0], order).values for r in runs)
         assert np.array_equal(v1, v2)
@@ -308,7 +310,7 @@ class TestCompareConfigurations:
         x = x.copy()
         x[:, [3, 40, 79]] = 0.0  # items the cosine matrix drops
         entry = PlanEntry(1, 10.0, 10)
-        res = compare_configurations(x, gt, [entry]).results[0]
+        res = compare_configurations(spectrum(x), gt, [entry]).results[0]
         sim = figure_similarity(res, figure_item_order(gt))
         full, figure = reference_export(x, gt, entry)
         assert {3, 40, 79} <= set(res.excluded_items)
@@ -332,7 +334,7 @@ class TestCompareConfigurations:
         plan = [PlanEntry(1, 1000.0, 10, f)
                 for f in ("collapse", "identity", "inverse")]
         plan += [PlanEntry(2, 5.0, 10), PlanEntry(2, 5.0, 20)]
-        compare_configurations(x, gt, plan)
+        compare_configurations(spectrum(x), gt, plan)
         assert grams == [(80, 80)]
 
     def test_contrasts_match_per_entry_svd(self, desk_data):
@@ -345,18 +347,17 @@ class TestCompareConfigurations:
         # PlanEntry(2, 30.0, 20) keeps one dimension
         with pytest.warns(RuntimeWarning, match="degenerate plan entry "
                           "obj2_lam30_k20_identity"):
-            report = compare_configurations(x, gt, plan)
+            report = compare_configurations(spectrum(x), gt, plan)
         for entry, res in zip(plan, report.results):
-            f = svd(x, entry.rank)
-            s = f.singular_values
+            _, s, v = svd(x, entry.rank)
             if entry.objective == 1:
-                b = f.right * np.sqrt(1.0 / (1.0 + entry.lam / s**2))
+                b = v * np.sqrt(1.0 / (1.0 + entry.lam / s**2))
                 d = named_scaling(EmbeddingPair(b, b, entry.lam, entry.rank,
                                                 1, s),
                                   entry.family).entries
                 b = b / d
             else:
-                b = f.right * np.sqrt(s * np.maximum(0.0, 1.0 - entry.lam / s))
+                b = v * np.sqrt(s * np.maximum(0.0, 1.0 - entry.lam / s))
             want = cluster_contrast(item_item(x, EmbeddingPair(
                 b, b, entry.lam, entry.rank, entry.objective, s),
                 on_zero="drop"), gt).contrast
@@ -374,8 +375,9 @@ class TestCompareConfigurations:
                          user_prefs=np.full((30, 2), 0.5))
         with pytest.warns(RuntimeWarning, match="degenerate plan entry "
                           "obj2_lam5_k3_identity: effective_rank=1 rank=3"):
-            report = compare_configurations(x, gt, [PlanEntry(2, 5.0, 3),
-                                                    PlanEntry(1, 5.0, 3)])
+            report = compare_configurations(spectrum(x), gt,
+                                            [PlanEntry(2, 5.0, 3),
+                                             PlanEntry(1, 5.0, 3)])
         shrunk, full = report.to_dict()["results"]
         assert (shrunk["effective_rank"], shrunk["degenerate"]) == (1, True)
         assert (full["effective_rank"], full["degenerate"]) == (3, False)
@@ -392,7 +394,8 @@ class TestCompareConfigurations:
                          cluster_exponents=np.ones(2),
                          user_prefs=np.full((30, 2), 0.5))
         with pytest.warns(RuntimeWarning) as caught:
-            report = compare_configurations(x, gt, [PlanEntry(2, 20.0, 3)])
+            report = compare_configurations(spectrum(x), gt,
+                                            [PlanEntry(2, 20.0, 3)])
         assert [str(w.message) for w in caught] == [
             "degenerate plan entry obj2_lam20_k3_identity: effective_rank=0 "
             "rank=3; every item is excluded and the entry has no cosines"]
@@ -410,10 +413,10 @@ class TestCompareConfigurations:
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, f) for f in ("collapse", "inverse")]
         plan.append(PlanEntry(2, 5.0, 10))
-        whole = compare_configurations(x, gt, plan)
+        whole = compare_configurations(spectrum(x), gt, plan)
         order = figure_item_order(gt)
         for entry, res in zip(plan, whole.results):
-            alone = compare_configurations(x, gt, [entry]).results[0]
+            alone = compare_configurations(spectrum(x), gt, [entry]).results[0]
             assert res.to_dict() == alone.to_dict()
             assert res == alone
             assert not hasattr(res, "similarity")
@@ -427,10 +430,10 @@ class TestCompareConfigurations:
     def test_binary_rows_give_the_dense_report(self, desk_data):
         x, gt = desk_data
         cfg = SimConfig.uniform_clusters(600, 80, 5, seed=7)  # desk_data's
-        sample, _ = sample_interactions(cfg)
+        rows, _ = sample_interactions(cfg)
         plan = [PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(2, 5.0, 10)]
-        dense = compare_configurations(x, gt, plan)
-        rows = compare_configurations(sample.rows, gt, plan)
+        dense = compare_configurations(spectrum(x), gt, plan)
+        rows = compare_configurations(spectrum(rows), gt, plan)
         assert rows.to_dict() == dense.to_dict()
         order = figure_item_order(gt)
         for a, b in zip(rows.results, dense.results):
@@ -438,10 +441,15 @@ class TestCompareConfigurations:
                                   figure_similarity(b, order).values)
 
     def test_a_spectrum_gives_the_report_of_its_x(self, desk_data):
+        # each entry's contrast and excluded items are those of X's own solve
         x, gt = desk_data
         plan = [PlanEntry(1, 1000.0, 10, "collapse"), PlanEntry(2, 5.0, 10)]
-        assert (compare_configurations(spectrum(x), gt, plan)
-                == compare_configurations(x, gt, plan))
+        report = compare_configurations(spectrum(x), gt, plan)
+        for entry, res in zip(plan, report.results):
+            sim = item_item(None, solve_plan_entry(x, entry), on_zero="drop")
+            assert res.excluded_items == sim.excluded_rows
+            assert res.contrast.contrast == pytest.approx(
+                cluster_contrast(sim, gt).contrast, abs=1e-12)
 
     @pytest.mark.parametrize("entry", [
         PlanEntry(1, 1000.0, 10, "inverse"), PlanEntry(1, 100.0, 80, "collapse"),
@@ -456,6 +464,7 @@ class TestCompareConfigurations:
     def test_report_dict_round_trips_to_json(self, desk_data):
         import json
         x, gt = desk_data
-        report = compare_configurations(x, gt, [PlanEntry(2, 5.0, 10)])
+        report = compare_configurations(spectrum(x), gt,
+                                        [PlanEntry(2, 5.0, 10)])
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["results"][0]["entry"]["objective"] == 2

@@ -132,7 +132,7 @@ class TestSolveAndSimilarity:
         assert main(["similarity", "--config", str(cfg), "--out", str(out),
                      "--kind", "user-item"]) == 0
         x = sample_interactions(SimConfig.from_dict(SIM))[0].matrix
-        z, _, _ = standardize(x)
+        z = standardize(x)
         solver = solve_objective1 if objective == 1 else solve_objective2
         want = solver(z, 5, 10.0)
         a = read_matrix_csv(out / f"pair_obj{objective}" / "A.csv")

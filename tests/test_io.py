@@ -33,10 +33,10 @@ def test_matrix_csv_round_trip(tmp_path, rng):
 
 def test_binary_rows_csv_round_trip(tmp_path):
     # 600 rows: two full row blocks and a partial one
-    sample, _ = sample_interactions(SimConfig.uniform_clusters(600, 80, 5, seed=7))
+    rows, _ = sample_interactions(SimConfig.uniform_clusters(600, 80, 5, seed=7))
     path = tmp_path / "X.csv"
-    write_matrix_csv(path, sample.rows)
-    assert path.read_bytes() == per_element_csv(sample.matrix)
+    write_matrix_csv(path, rows)
+    assert path.read_bytes() == per_element_csv(rows.matrix)
 
 
 def test_matrix_csv_single_row(tmp_path):

@@ -16,35 +16,35 @@ def seeded(shape, seed=0):
 
 class TestSvd:
     def test_identity_spectrum(self):
-        f = svd(np.eye(3), 3)
-        assert np.allclose(f.singular_values, [1, 1, 1])
+        _, s, _ = svd(np.eye(3), 3)
+        assert np.allclose(s, [1, 1, 1])
 
     def test_diagonal(self):
-        f = svd(np.diag([3.0, 2.0]), 2)
-        assert np.allclose(f.singular_values, [3, 2])
+        u, s, v = svd(np.diag([3.0, 2.0]), 2)
+        assert np.allclose(s, [3, 2])
         # U and V equal identity up to per-column sign
-        assert np.allclose(np.abs(f.left), np.eye(2), atol=1e-12)
-        assert np.allclose(np.abs(f.right), np.eye(2), atol=1e-12)
+        assert np.allclose(np.abs(u), np.eye(2), atol=1e-12)
+        assert np.allclose(np.abs(v), np.eye(2), atol=1e-12)
 
     def test_full_rank_reconstruction(self):
         m = seeded((6, 4))
-        f = svd(m, 4)
-        assert np.linalg.norm(f.reconstruct() - m) < 1e-10
+        u, s, v = svd(m, 4)
+        assert np.linalg.norm((u * s) @ v.T - m) < 1e-10
 
     def test_orthonormal_factors(self):
-        f = svd(seeded((7, 5), seed=3), 5)
-        assert np.allclose(f.left.T @ f.left, np.eye(5), atol=1e-8)
-        assert np.allclose(f.right.T @ f.right, np.eye(5), atol=1e-8)
+        u, _, v = svd(seeded((7, 5), seed=3), 5)
+        assert np.allclose(u.T @ u, np.eye(5), atol=1e-8)
+        assert np.allclose(v.T @ v, np.eye(5), atol=1e-8)
 
     def test_singular_values_descending_nonnegative(self):
-        s = svd(seeded((9, 6), seed=4), 6).singular_values
+        s = svd(seeded((9, 6), seed=4), 6)[1]
         assert np.all(np.diff(s) <= 0)
         assert np.all(s >= 0)
 
     def test_transpose_same_spectrum(self):
         m = seeded((8, 5), seed=5)
-        s1 = svd(m, 5).singular_values
-        s2 = svd(m.T, 5).singular_values
+        s1 = svd(m, 5)[1]
+        s2 = svd(m.T, 5)[1]
         assert np.allclose(s1, s2, atol=1e-9)
 
     def test_eckart_young_consistency(self):
@@ -52,16 +52,16 @@ class TestSvd:
         m = seeded((6, 4), seed=6)
         total = np.linalg.norm(m) ** 2
         for r in range(1, 5):
-            f = svd(m, r)
-            err = np.linalg.norm(m - f.reconstruct()) ** 2
-            assert err + np.sum(f.singular_values ** 2) == pytest.approx(
+            u, s, v = svd(m, r)
+            err = np.linalg.norm(m - (u * s) @ v.T) ** 2
+            assert err + np.sum(s ** 2) == pytest.approx(
                 total, abs=1e-9)
 
     def test_best_rank_r_approximation(self):
         # truncated reconstruction beats random same-rank competitors
         m = seeded((6, 4), seed=7)
-        f = svd(m, 2)
-        err = np.linalg.norm(m - f.reconstruct())
+        u, s, v = svd(m, 2)
+        err = np.linalg.norm(m - (u * s) @ v.T)
         gen = np.random.default_rng(0)
         for _ in range(20):
             a = gen.standard_normal((6, 2))
@@ -82,20 +82,19 @@ class TestSvd:
 
     def test_deterministic_signs(self):
         m = seeded((10, 6), seed=8)
-        f1, f2 = svd(m, 6), svd(m.copy(), 6)
-        assert np.array_equal(f1.right, f2.right)
+        v1, v2 = svd(m, 6)[2], svd(m.copy(), 6)[2]
+        assert np.array_equal(v1, v2)
         # anchor entries positive by convention
-        anchors = np.abs(f1.right).argmax(axis=0)
-        assert np.all(f1.right[anchors, np.arange(6)] > 0)
+        anchors = np.abs(v1).argmax(axis=0)
+        assert np.all(v1[anchors, np.arange(6)] > 0)
 
 
 class TestSpectrum:
     def test_matches_svd(self, dense_x):
         spec = spectrum(dense_x)
-        f = svd(dense_x, 50)
-        s = spec.singular_values
-        assert np.allclose(s, f.singular_values, rtol=1e-12, atol=0)
-        assert np.abs(spec.right - f.right).max() <= 1e-9
+        _, s, v = svd(dense_x, 50)
+        assert np.allclose(spec.singular_values, s, rtol=1e-12, atol=0)
+        assert np.abs(spec.right - v).max() <= 1e-9
 
     def test_anchor_sign_convention(self, dense_x):
         v = spectrum(dense_x).right
@@ -107,7 +106,7 @@ class TestSpectrum:
         spec = spectrum(m)
         assert spec.singular_values.shape == (4,)
         assert spec.right.shape == (9, 4)
-        assert np.allclose(spec.singular_values, svd(m, 4).singular_values,
+        assert np.allclose(spec.singular_values, svd(m, 4)[1],
                            rtol=1e-12, atol=0)
 
     @staticmethod
@@ -270,9 +269,8 @@ def binary_rows(dense) -> BinaryRows:
 class TestBinaryRows:
     @pytest.fixture(scope="class")
     def simulated(self):
-        sample, _ = sample_interactions(
-            SimConfig.uniform_clusters(700, 90, 4, seed=3))
-        return sample.rows
+        return sample_interactions(
+            SimConfig.uniform_clusters(700, 90, 4, seed=3))[0]
 
     def test_gram_is_exact_on_simulated_x(self, simulated, monkeypatch):
         x = simulated.dense()

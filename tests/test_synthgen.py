@@ -5,7 +5,7 @@ import pytest
 
 from cosine_audit.errors import ConfigError
 from cosine_audit.matrix_core import BinaryRows
-from cosine_audit.synthgen import (GroundTruth, InteractionSample, SimConfig,
+from cosine_audit.synthgen import (GroundTruth, SimConfig,
                                    _items_per_user, _streams,
                                    figure_item_order,
                                    ground_truth_similarity,
@@ -188,17 +188,19 @@ class TestUserItemProbabilities:
 
 class TestInteractions:
     def test_binary_without_replacement(self):
-        sample, _ = sample_interactions(cfg())
-        m = sample.matrix
+        rows, _ = sample_interactions(cfg())
+        assert isinstance(rows, BinaryRows)
+        m = rows.matrix
+        assert m.dtype == np.float64 and np.array_equal(m, rows.dense())
         assert set(np.unique(m)) <= {0.0, 1.0}
-        assert np.array_equal(m.sum(axis=1), np.diff(sample.rows.indptr))
-        assert np.all(np.diff(sample.rows.indptr) >= 1)
+        assert np.array_equal(m.sum(axis=1), rows.items_per_user)
+        assert np.all(rows.items_per_user >= 1)
 
     def test_activity_bounds(self):
         c = cfg()
-        sample, _ = sample_interactions(c)
-        assert np.all(np.diff(sample.rows.indptr) >= min(5, c.p))
-        assert np.all(np.diff(sample.rows.indptr) <= c.p // 2)
+        rows, _ = sample_interactions(c)
+        assert np.all(rows.items_per_user >= min(5, c.p))
+        assert np.all(rows.items_per_user <= c.p // 2)
 
     def test_seed_determinism(self):
         s1, g1 = sample_interactions(cfg())
@@ -219,12 +221,12 @@ class TestInteractions:
         want, k_u, completed = _reference_sample(c)
         assert completed >= 1
         assert np.array_equal(sample.matrix, want)
-        assert np.array_equal(np.diff(sample.rows.indptr), k_u)
+        assert np.array_equal(sample.items_per_user, k_u)
 
     def test_rows_ascending(self):
         sample, _ = sample_interactions(
             SimConfig.uniform_clusters(2_500, 60, 4, seed=7))
-        ptr, idx = sample.rows.indptr, sample.rows.indices
+        ptr, idx = sample.indptr, sample.indices
         assert all(np.all(np.diff(idx[a:b]) > 0)
                    for a, b in zip(ptr[:-1], ptr[1:]))
 
@@ -237,7 +239,7 @@ class TestInteractions:
         sample, gt = sample_interactions(c)
         weights = gt.user_prefs[:, gt.item_cluster] * gt.item_popularity
         positive = weights > 0
-        assert np.array_equal(np.diff(sample.rows.indptr), positive.sum(axis=1))
+        assert np.array_equal(sample.items_per_user, positive.sum(axis=1))
         assert np.all(positive[sample.matrix == 1])
 
     def test_inclusion_frequencies_match_successive_sampling(self):
@@ -247,7 +249,7 @@ class TestInteractions:
         c = SimConfig(n=200_000, p=10, C=1, cluster_probs=(1.0,),
                       beta_item_min=1.0, beta_item_max=1.0, seed=12)
         sample, gt = sample_interactions(c)
-        assert np.all(np.diff(sample.rows.indptr) == 5)
+        assert np.all(sample.items_per_user == 5)
         w = gt.item_popularity
         seqs = np.array(list(itertools.permutations(range(c.p), 5)))
         picked = np.cumsum(w[seqs], axis=1) - w[seqs]  # mass taken before
@@ -306,10 +308,9 @@ def test_figure_item_order_cluster_then_popularity():
         assert np.all(np.diff(pops[clusters == c]) <= 0)
 
 
-def test_interaction_sample_counts_and_matrix_come_from_rows():
+def test_binary_rows_counts_and_matrix():
     rows = BinaryRows(indptr=np.array([0, 1, 3, 3]),
                       indices=np.array([2, 0, 3]), shape=(3, 4))
-    sample = InteractionSample(rows=rows)
-    assert np.array_equal(sample.items_per_user, [1, 2, 0])
-    assert np.array_equal(sample.matrix, [[0, 0, 1, 0], [1, 0, 0, 1],
-                                          [0, 0, 0, 0]])
+    assert np.array_equal(rows.items_per_user, [1, 2, 0])
+    assert np.array_equal(rows.matrix, [[0, 0, 1, 0], [1, 0, 0, 1],
+                                        [0, 0, 0, 0]])
