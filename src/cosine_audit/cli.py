@@ -274,28 +274,68 @@ def _forked(fn) -> int:
     return pid
 
 
+def _filled_in_child(size: int, fill):
+    """Forks a child that runs `fill` on a float64 array of `size` held in an
+    anonymous shared mapping, and returns a function that waits for it and
+    returns a copy of that array, or None: where os.fork is missing, where
+    the mapping cannot be made or the fork fails, and when the child failed
+    or died. Call it, in a `finally` if work comes between, so that no
+    child outlives the caller."""
+    if not hasattr(os, "fork"):
+        return lambda: None
+    try:
+        shared = mmap.mmap(-1, 8 * size)
+    except (OSError, OverflowError):
+        return lambda: None
+    try:
+        pid = _forked(lambda: fill(np.frombuffer(shared)))
+    except OSError:  # no process to spare: the caller does the work
+        shared.close()
+        return lambda: None
+
+    def wait():
+        with shared:
+            if os.waitpid(pid, 0)[1] == 0:
+                return np.frombuffer(shared).copy()
+        return None
+
+    return wait
+
+
 def _audit_input(sim_cfg: SimConfig):
     """(spectrum of X, ground truth) of `sim_cfg`. A forked child draws X and
-    counts its Gram (no BLAS) into a shared mapping, so this process's eigh
-    does not sit on the sampler's memory; without fork or the mapping, or if
-    the child fails or dies, this process draws X and meets its errors."""
-    p, gram = sim_cfg.p, None
-    try:
-        shared = mmap.mmap(-1, 8 * p * p) if hasattr(os, "fork") else None
-    except (OSError, OverflowError):
-        shared = None
-    if shared is not None:
-        with shared:
-            def count():
-                np.frombuffer(shared).reshape(p, p)[:] = (
-                    sample_interactions(sim_cfg)[0].gram())
-            if os.waitpid(_forked(count), 0)[1] == 0:
-                gram = np.frombuffer(shared).reshape(p, p).copy()
+    counts its Gram (no BLAS), and a second one decomposes that Gram while
+    this process draws the ground truth, so eigh sits neither on the
+    sampler's memory nor on the pages this process touched at import.
+    Where the first child cannot run or fails, this process draws X and
+    meets its errors; where the second does, this process decomposes."""
+    n, p = sim_cfg.n, sim_cfg.p
+    r = min(n, p)
+
+    def count(out):
+        out.reshape(p, p)[:] = sample_interactions(sim_cfg)[0].gram()
+
+    gram = _filled_in_child(p * p, count)()
     if gram is None:
         X, gt = sample_interactions(sim_cfg)
         return spectrum(X), gt
-    spec = Spectrum.of_gram(gram, sim_cfg.n)
-    return spec, sample_ground_truth(sim_cfg)  # imports numpy.random: after eigh
+    gram = gram.reshape(p, p)
+
+    def decompose(out):
+        spec = Spectrum.of_gram(gram, n)
+        out[:p * r].reshape(p, r)[:] = spec.right
+        out[p * r:] = spec.singular_values
+
+    wait = _filled_in_child(p * r + r, decompose)
+    try:
+        gt = sample_ground_truth(sim_cfg)
+    finally:
+        decomposed = wait()
+    if decomposed is None:
+        return Spectrum.of_gram(gram, n), gt
+    # V leads the copy, so it starts where an array of its own would
+    return Spectrum(singular_values=decomposed[p * r:].copy(),
+                    right=decomposed[:p * r].reshape(p, r)), gt
 
 
 def cmd_audit(args) -> int:

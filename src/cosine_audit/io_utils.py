@@ -271,10 +271,15 @@ def config_hash(config: dict) -> str:
 
 
 def write_manifest(out_dir, config: dict, seed: int, version: str) -> None:
+    # the numpy and BLAS that computed the outputs: another BLAS, or another
+    # build of one, may change their last digits
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     write_json(Path(out_dir) / "manifest.json", {
         "config_sha256": config_hash(config),
         "seed": seed,
         "sampler": SAMPLER,
         "version": version,
+        "numpy": np.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version")},
         "config": config,
     })

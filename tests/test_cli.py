@@ -15,7 +15,7 @@ from cosine_audit import __version__, analysis, cli, io_utils, synthgen
 from cosine_audit.cli import USER_USER_MAX_USERS, main
 from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.io_utils import config_hash, read_matrix_csv
-from cosine_audit.matrix_core import spectrum
+from cosine_audit.matrix_core import Spectrum, spectrum
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
 from cosine_audit.remedies import standardize
 from cosine_audit.similarity import user_item
@@ -877,9 +877,11 @@ class TestAudit:
 
 
 class TestAuditWorkers:
-    """`audit` forks one child that draws X and counts its Gram; the
-    calling process decomposes it and draws X itself only if that child
-    failed or died. It then computes its report, and exports each distinct
+    """`audit` forks one child that draws X and counts its Gram, then one
+    that decomposes that Gram while the calling process draws the ground
+    truth. The calling process draws X itself only if the first child
+    failed or died, and decomposes the Gram itself only if the second did.
+    It then computes its report, and exports each distinct
     plan entry once. With W = min(distinct entries, usable CPUs) of 2 or
     more, forked child w writes distinct[w::W] while the calling process
     only waits; it then writes again, in plan order, the entries of each
@@ -938,7 +940,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, forks1 = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks2 = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, forks1, code2, forks2) == (0, 1, 0, 3)
+        assert (code1, forks1, code2, forks2) == (0, 2, 0, 4)
         files = tree(one)
         assert len(files) == 3 * len(self.PLAN) + 3
         assert tree(two) == files
@@ -949,13 +951,16 @@ class TestAuditWorkers:
         cfg = self.config(tmp_path, self.PLAN[:2])
         code, _, forks = self.run(monkeypatch, capsys, cfg,
                                   tmp_path / "out", 8)
-        assert (code, forks) == (0, 3)
+        assert (code, forks) == (0, 4)
 
-    @pytest.mark.parametrize("cpu_count, forks", [(2, 3), (None, 1)])
+    @pytest.mark.parametrize("cpu_count, draw_and_export_forks",
+                             [(2, 3), (None, 1)])
     def test_cpu_count_where_affinity_is_missing(self, tmp_path, monkeypatch,
-                                                 capsys, cpu_count, forks):
+                                                 capsys, cpu_count,
+                                                 draw_and_export_forks):
         # as on macOS, which has no os.sched_getaffinity; os.cpu_count()
-        # may not know the count, and then the exports are written here
+        # may not know the count, and then the exports are written here;
+        # the decomposition child is forked whatever the count
         cfg = self.config(tmp_path, self.PLAN)
         default, out = tmp_path / "default", tmp_path / "out"
         capsys.readouterr()
@@ -964,7 +969,7 @@ class TestAuditWorkers:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         code, err, forked = self.run(monkeypatch, capsys, cfg, out, None)
-        assert (code, forked) == (0, forks)
+        assert (code, forked) == (0, draw_and_export_forks + 1)
         assert len(tree(out)) == 3 * len(self.PLAN) + 3
         assert tree(out) == tree(default)
         assert err == err0
@@ -975,7 +980,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 3)
+        assert (code1, code2, forks) == (0, 0, 4)
         assert len(tree(one)) == 3 * len(self.PLAN) + 3
         assert tree(two) == tree(one)
         assert err2 == err1
@@ -1033,6 +1038,105 @@ class TestAuditWorkers:
         assert (code1, code2, forks) == (0, 0, 2)
         assert tree(two) == tree(one)
         assert err2 == err1
+
+    def decomposition_redone_here(self, tmp_path, monkeypatch, capsys,
+                                  in_child, forks=4):
+        """Runs `audit` with `in_child` called by the decomposition in the
+        forked decomposition child, so this process decomposes the Gram
+        again. The run must give the files, stderr and exit code of one
+        where os.fork is missing, and make `forks` calls to os.fork."""
+        parent = os.getpid()
+        real = Spectrum.of_gram
+        decomposed_here = []
+
+        def of_gram(cls, gram, n):
+            if os.getpid() != parent:
+                in_child()
+            decomposed_here.append(gram.shape)
+            return real(gram, n)
+
+        monkeypatch.setattr(Spectrum, "of_gram", classmethod(of_gram))
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+        code2, err2, forked = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forked) == (0, 0, forks)
+        p = self.SIM["p"]
+        assert decomposed_here == [(p, p)] * 2
+        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert tree(two) == tree(one)
+        assert err2 == err1
+
+    def test_decomposition_child_killed(self, tmp_path, monkeypatch, capsys):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.decomposition_redone_here(tmp_path, monkeypatch, capsys, die)
+
+    def test_decomposition_failing_only_in_the_child(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def fail():
+            raise MemoryError("out of memory in the child")
+
+        self.decomposition_redone_here(tmp_path, monkeypatch, capsys, fail)
+
+    def test_no_room_for_the_spectrum_mapping(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the draw child's mapping is made, the decomposition's is refused
+        # and this process decomposes without forking
+        real = mmap.mmap
+        made = []
+
+        def second_refused(*args):
+            made.append(args)
+            if len(made) == 2:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            return real(*args)
+
+        monkeypatch.setattr(mmap, "mmap", second_refused)
+        self.decomposition_redone_here(tmp_path, monkeypatch, capsys,
+                                       in_child=None, forks=3)
+        assert len(made) == 2
+
+    def test_no_process_for_the_decomposition(self, tmp_path, monkeypatch,
+                                              capsys):
+        # a fork that fails, as at a process limit, is a child that failed
+        real = os.fork
+        calls = []
+
+        def fork():
+            calls.append(os.getpid())
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.decomposition_redone_here(tmp_path, monkeypatch, capsys,
+                                       in_child=None)
+        assert len(calls) == 4
+
+    def test_no_eigh_here_when_both_children_succeed(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the run's peak sits in the decomposition child, not on top of
+        # this process's imported libraries; without os.fork it is here
+        parent = os.getpid()
+        real = np.linalg.eigh
+        here = []
+
+        def eigh(a, *args, **kwargs):
+            if os.getpid() == parent:
+                here.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, _ = self.one_process(monkeypatch, capsys, cfg, one)
+        p = self.SIM["p"]
+        assert (code1, here) == (0, [(p, p)])
+        code2, _, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code2, forks, here) == (0, 4, [(p, p)])
+        assert tree(two) == tree(one)
 
     def test_ground_truth_warning_printed_once(self, tmp_path, monkeypatch,
                                                capfd):
@@ -1098,7 +1202,7 @@ class TestAuditWorkers:
         out = tmp_path / "out"
         code, err, forks = self.run(monkeypatch, capsys,
                                     self.config(tmp_path, plan), out, 2)
-        assert (code, forks) == (3, 1)
+        assert (code, forks) == (3, 2)
         assert err == "compute error: rank 8 failed\n"
         assert not out.exists()
 
@@ -1124,7 +1228,7 @@ class TestAuditWorkers:
         for cpus in (1, 2):
             out = tmp_path / f"cpus{cpus}"
             code, err, forks = self.run(monkeypatch, capsys, cfg, out, cpus)
-            assert (code, forks) == (3, {1: 1, 2: 3}[cpus])
+            assert (code, forks) == (3, {1: 2, 2: 4}[cpus])
             assert not list(out.iterdir())
             errs.append(err)
         assert errs[1] == errs[0] == (
@@ -1148,7 +1252,7 @@ class TestAuditWorkers:
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1, _ = self.run(monkeypatch, capsys, cfg, one, 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 3)
+        assert (code1, code2, forks) == (0, 0, 4)
         assert len(tree(one)) == 3 * len(self.PLAN) + 3
         assert tree(two) == tree(one)
         assert err2 == err1
@@ -1189,7 +1293,7 @@ class TestAuditWorkers:
         out = tmp_path / "out"
         code, _, forks = self.run(monkeypatch, capsys,
                                   self.config(tmp_path, [e0, e1, e0]), out, 2)
-        assert (code, forks) == (0, 3)
+        assert (code, forks) == (0, 4)
         assert sorted(log.read_text().splitlines()) == [
             "similarity_obj1_lam1000_k20_collapse",
             "similarity_obj1_lam1000_k20_identity"]
@@ -1211,7 +1315,7 @@ class TestAuditWorkers:
         code, _, forks = self.run(monkeypatch, capsys,
                                   self.config(tmp_path, self.PLAN),
                                   tmp_path / "out", 1)
-        assert (code, forks) == (0, 1)
+        assert (code, forks) == (0, 2)
         assert calls == [(e["objective"], e["lambda"], e["rank"])
                          for e in self.PLAN]
 
@@ -1234,7 +1338,7 @@ class TestAuditWorkers:
                                   tmp_path / "one", 1)
         code2, err2, forks = self.run(monkeypatch, capsys, cfg,
                                       tmp_path / "two", 2)
-        assert (code1, code2, forks) == (0, 0, 3)
+        assert (code1, code2, forks) == (0, 0, 4)
         assert err2 == err1
         # entry 1's zero-sigma warning repeats entry 0's and is dropped
         lines = err1.splitlines()
@@ -1364,9 +1468,12 @@ class TestManifest:
             assert main([command, "--config", str(cfg), "--out", str(out),
                          "--seed", "5"]) == 0
         manifest = json.loads((outs[0] / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest == {
             "config_sha256": config_hash(manifest["config"]), "seed": 5,
             "sampler": SAMPLER, "version": __version__,
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
             "config": {"sim": SimConfig.from_dict(dict(SIM, seed=5)).to_dict(),
                        "plan": [dict(ENTRY, family="identity")],
                        "solve": dict(ENTRY, family="identity",
