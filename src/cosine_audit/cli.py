@@ -62,6 +62,10 @@ DEFAULT_SOLVE = {"objective": 1, "lambda": 10_000.0, "rank": DEFAULT_RANK}
 # would take 8 n^2 bytes, 200 MB at this n and 3.2 GB at the default n
 USER_USER_MAX_USERS = 5_000
 
+# simulate's files: every other command refuses them unless they hold its
+# config's X, and keeps them
+SIMULATED = ("X.csv", "ground_truth.json")
+
 
 # the JSON type of each key the config file may hold at its top level, in
 # its "output" section, in a plan entry and in its "solve" section; the
@@ -155,36 +159,65 @@ def _resolve(args) -> Resolved:
 @contextmanager
 def _writing(cfg: Resolved):
     """A staging directory in cfg.out for a command's files. Once they and
-    manifest.json (the whole resolved config, flags applied, its hash, the
-    seed, the sampler and the version, no timings, so reruns match) are
-    written, each moves to its place in cfg.out, manifest.json last; a
-    failure before that leaves cfg.out as it was."""
+    manifest.json are written, each moves to its place in cfg.out, then the
+    files that the previous manifest listed and this one does not are
+    deleted, then manifest.json moves; a failure before that leaves cfg.out
+    as it was. manifest.json holds the whole resolved config, flags applied
+    ("config"), its hash ("config_sha256"), the "seed", the "sampler", the
+    "version", the "numpy" and "blas" that computed the outputs, and the
+    "files" cfg.out then holds besides it: this run's, and the SIMULATED
+    ones that _refuse_stale checked against this config. It holds no
+    timings, so reruns match."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".writing-", dir=cfg.out))
     try:
         yield stage
+        files = [f.relative_to(stage).as_posix()
+                 for f in sorted(stage.rglob("*")) if f.is_file()]
+        listed = sorted({*files, *(f for f in SIMULATED
+                                   if (cfg.out / f).is_file())})
         solve = {**cfg.solve.to_dict(), "standardize": cfg.standardize}
         config = {"sim": cfg.sim.to_dict(), "solve": solve,
                   "plan": [e.to_dict() for e in cfg.plan]}
-        write_manifest(stage, config, cfg.sim.seed, __version__)
-        manifest = stage / "manifest.json"
-        # a move that fails leaves no manifest naming the files it replaced
-        (cfg.out / manifest.name).unlink(missing_ok=True)
-        for f in sorted(stage.rglob("*")):
-            if f.is_file() and f != manifest:
-                to = cfg.out / f.relative_to(stage)
-                to.parent.mkdir(exist_ok=True)
-                os.replace(f, to)
-        os.replace(manifest, cfg.out / manifest.name)
+        write_manifest(stage, config, cfg.sim.seed, __version__, listed)
+        manifest = cfg.out / "manifest.json"
+        stale = _listed(manifest) - set(listed)
+        # a move or deletion that fails leaves no manifest naming the files
+        # it replaced
+        manifest.unlink(missing_ok=True)
+        for f in files:
+            to = cfg.out / f
+            to.parent.mkdir(exist_ok=True)
+            os.replace(stage / f, to)
+        for f in sorted(stale):
+            to = cfg.out / f
+            if to.is_file():
+                to.unlink()
+                if to.parent != cfg.out and not any(to.parent.iterdir()):
+                    to.parent.rmdir()  # as solve's pair directory
+        os.replace(stage / manifest.name, manifest)
     finally:
         shutil.rmtree(stage)
+
+
+def _listed(manifest: Path) -> set[str]:
+    """The files a command's `manifest` lists: none where it is missing or
+    lists none, and only names inside its directory."""
+    try:
+        files = read_json(manifest)["files"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    if not isinstance(files, list):
+        return set()
+    return {f for f in files if isinstance(f, str) and f
+            and not Path(f).is_absolute() and ".." not in Path(f).parts}
 
 
 def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
     """Refuse an `out` holding X.csv or ground_truth.json unless its
     manifest.json records this sim config and SAMPLER: an export would sit
     beside the outputs of another X. No command reads the exports back."""
-    there = [f for f in ("X.csv", "ground_truth.json") if (out / f).exists()]
+    there = [f for f in SIMULATED if (out / f).exists()]
     if there:
         try:
             manifest = read_json(out / "manifest.json")
@@ -255,67 +288,52 @@ def _export(results, order, out: Path) -> None:
                          provenance=entry.to_dict())
 
 
-def _forked(fn) -> int:
-    """pid of a child that runs `fn` and leaves by os._exit, 0 if it returned
-    and 1 otherwise, so no atexit handler or caller's `finally` runs."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns when a process with threads forks; the only
-        # threads here are OpenBLAS's, whose own fork handlers stop them
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            warnings.simplefilter("error")  # unprinted; the caller redoes fn
-            fn()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _filled_in_child(size: int, fill):
+def _in_child(fill, size: int = 0):
     """Forks a child that runs `fill` on a float64 array of `size` held in an
-    anonymous shared mapping, and returns a function that waits for it and
-    returns a copy of that array, or None: where os.fork is missing, where
-    the mapping cannot be made or the fork fails, and when the child failed
-    or died. Call it, in a `finally` if work comes between, so that no
-    child outlives the caller."""
+    anonymous shared mapping, or on an empty array and no mapping for size
+    0, and leaves by os._exit, 0 if `fill` returned and 1 otherwise, so no
+    atexit handler or caller's `finally` runs there. Returns a function that
+    waits for the child and returns that array itself, or None: where
+    os.fork is missing, where the mapping cannot be made or the fork fails,
+    and when the child failed or died. Call it, in a `finally` if work
+    comes between, so that no child outlives the caller."""
     if not hasattr(os, "fork"):
         return lambda: None
     try:
-        shared = mmap.mmap(-1, 8 * size)
+        array = np.frombuffer(mmap.mmap(-1, 8 * size)) if size else np.empty(0)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks; the only
+            # threads here are OpenBLAS's, whose own fork handlers stop them
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except (OSError, OverflowError):
-        return lambda: None
-    try:
-        pid = _forked(lambda: fill(np.frombuffer(shared)))
-    except OSError:  # no process to spare: the caller does the work
-        shared.close()
-        return lambda: None
-
-    def wait():
-        with shared:
-            if os.waitpid(pid, 0)[1] == 0:
-                return np.frombuffer(shared).copy()
-        return None
-
-    return wait
+        return lambda: None  # no room or no process: the caller does it
+    if pid == 0:
+        code = 1
+        try:
+            warnings.simplefilter("error")  # unprinted; the caller redoes it
+            fill(array)
+            code = 0
+        finally:
+            os._exit(code)
+    return lambda: array if os.waitpid(pid, 0)[1] == 0 else None
 
 
 def _audit_input(sim_cfg: SimConfig):
     """(spectrum of X, ground truth) of `sim_cfg`. A forked child draws X and
-    counts its Gram (no BLAS), and a second one decomposes that Gram while
-    this process draws the ground truth, so eigh sits neither on the
-    sampler's memory nor on the pages this process touched at import.
-    Where the first child cannot run or fails, this process draws X and
-    meets its errors; where the second does, this process decomposes."""
+    counts its Gram (no BLAS), and a second one decomposes that Gram, read
+    from the first one's mapping, while this process draws the ground
+    truth, so eigh sits neither on the sampler's memory nor on the pages
+    this process touched at import. Where the first child cannot run or
+    fails, this process draws X and meets its errors; where the second
+    does, this process decomposes the Gram in that mapping."""
     n, p = sim_cfg.n, sim_cfg.p
     r = min(n, p)
 
     def count(out):
         out.reshape(p, p)[:] = sample_interactions(sim_cfg)[0].gram()
 
-    gram = _filled_in_child(p * p, count)()
+    gram = _in_child(count, p * p)()
     if gram is None:
         X, gt = sample_interactions(sim_cfg)
         return spectrum(X), gt
@@ -326,16 +344,15 @@ def _audit_input(sim_cfg: SimConfig):
         out[:p * r].reshape(p, r)[:] = spec.right
         out[p * r:] = spec.singular_values
 
-    wait = _filled_in_child(p * r + r, decompose)
+    wait = _in_child(decompose, p * r + r)
     try:
         gt = sample_ground_truth(sim_cfg)
     finally:
         decomposed = wait()
     if decomposed is None:
         return Spectrum.of_gram(gram, n), gt
-    # V leads the copy, so it starts where an array of its own would
     return Spectrum(singular_values=decomposed[p * r:].copy(),
-                    right=decomposed[:p * r].reshape(p, r)), gt
+                    right=decomposed[:p * r].reshape(p, r).copy()), gt
 
 
 def cmd_audit(args) -> int:
@@ -354,23 +371,20 @@ def cmd_audit(args) -> int:
     distinct = list(distinct.values())
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(len(distinct), cpus) if hasattr(os, "fork") else 1
+    workers = min(len(distinct), cpus)
     with _writing(cfg) as stage:
-        if workers == 1:
-            _export(distinct, order, stage)
-        else:
-            pids = []
-            try:
-                for w in range(workers):
-                    pids.append(_forked(lambda share=distinct[w::workers]:
-                                        _export(share, order, stage)))
-            finally:
-                statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-            # the entries of a child that failed or died are written again
-            # here in plan order, so the error, if any, is the first one a
-            # single process meets
-            _export([r for i, r in enumerate(distinct)
-                     if statuses[i % workers]], order, stage)
+        # with 2 or more workers, forked child w writes distinct[w::workers];
+        # this process then writes again, in plan order, the entries of each
+        # child that failed, died or was not forked, so the error, if any,
+        # is the first one a single process meets
+        written = [False] * workers
+        if workers > 1:
+            waits = [_in_child(lambda _, share=distinct[w::workers]:
+                               _export(share, order, stage))
+                     for w in range(workers)]
+            written = [wait() is not None for wait in waits]
+        _export([r for i, r in enumerate(distinct)
+                 if not written[i % workers]], order, stage)
         # the ground truth in figure order: 1 where two items share a cluster
         cluster = gt.item_cluster[order]
         write_pgm(stage / "ground_truth.pgm",

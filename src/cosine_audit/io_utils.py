@@ -270,7 +270,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(out_dir, config: dict, seed: int, version: str) -> None:
+def write_manifest(out_dir, config: dict, seed: int, version: str,
+                   files: list[str]) -> None:
     # the numpy and BLAS that computed the outputs: another BLAS, or another
     # build of one, may change their last digits
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -282,4 +283,5 @@ def write_manifest(out_dir, config: dict, seed: int, version: str) -> None:
         "numpy": np.__version__,
         "blas": {k: blas.get(k) for k in ("name", "version")},
         "config": config,
+        "files": files,
     })

@@ -127,9 +127,10 @@ class TestSolveAndSimilarity:
         cfg = write_config(tmp_path, {"solve": {
             "objective": objective, "lambda": 10.0, "rank": 5,
             "standardize": True}})
-        out = tmp_path / "out"
+        # each in its own directory: similarity would delete solve's files
+        out, sim_out = tmp_path / "out", tmp_path / "sim_out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+        assert main(["similarity", "--config", str(cfg), "--out", str(sim_out),
                      "--kind", "user-item"]) == 0
         x = sample_interactions(SimConfig.from_dict(SIM))[0].matrix
         z = standardize(x)
@@ -139,7 +140,7 @@ class TestSolveAndSimilarity:
         assert np.array_equal(a, want.A)
         assert not np.allclose(a, solver(x, 5, 10.0).A)
         sim = read_matrix_csv(
-            out / f"similarity_user-item_cosine_obj{objective}_identity.csv")
+            sim_out / f"similarity_user-item_cosine_obj{objective}_identity.csv")
         assert np.array_equal(sim, user_item(z, want, on_zero="drop").values)
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-1"])
@@ -877,17 +878,19 @@ class TestAudit:
 
 
 class TestAuditWorkers:
-    """`audit` forks one child that draws X and counts its Gram, then one
-    that decomposes that Gram while the calling process draws the ground
-    truth. The calling process draws X itself only if the first child
-    failed or died, and decomposes the Gram itself only if the second did.
-    It then computes its report, and exports each distinct
-    plan entry once. With W = min(distinct entries, usable CPUs) of 2 or
-    more, forked child w writes distinct[w::W] while the calling process
-    only waits; it then writes again, in plan order, the entries of each
-    child that failed or died. With W = 1 the calling process writes them
-    all. Every output and stderr must be those of a run where os.fork is
-    missing, which is one process."""
+    """`audit` forks every child through one helper, `cli._in_child`. The
+    first draws X and counts its Gram into a shared mapping; the second
+    decomposes that Gram, read from the first one's mapping, while the
+    calling process draws the ground truth. The calling process draws X
+    itself only if the first child failed, died or was not forked, and
+    decomposes the Gram in the first one's mapping only if the second
+    did. It then computes its report, and exports each distinct plan
+    entry once. With W = min(distinct entries, usable CPUs) of 2 or more,
+    forked child w writes distinct[w::W] while the calling process only
+    waits; it then writes again, in plan order, the entries of each child
+    that failed, died or was not forked. With W = 1 the calling process
+    writes them all. Every output and stderr must be those of a run where
+    os.fork is missing, which is one process."""
 
     SIM = dict(SIM, n=2_000, p=200, C=5, cluster_probs=[0.2] * 5)
     PLAN = [{"objective": 1, "lambda": 1000.0, "rank": 20, "family": f}
@@ -1114,6 +1117,30 @@ class TestAuditWorkers:
         self.decomposition_redone_here(tmp_path, monkeypatch, capsys,
                                        in_child=None)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("refused", [3, 4])
+    def test_no_process_for_an_export_worker(self, tmp_path, monkeypatch,
+                                             capsys, refused):
+        # forks 3 and 4 are the export workers': this process writes the
+        # share of the one that could not be forked
+        real = os.fork
+        calls = []
+
+        def fork():
+            calls.append(os.getpid())
+            if len(calls) == refused:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 4)
+        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert tree(two) == tree(one)
+        assert err2 == err1
 
     def test_no_eigh_here_when_both_children_succeed(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -1431,6 +1458,13 @@ def test_exports_never_read_back(tmp_path, command):
     cold_files, warm_files = tree(cold), tree(warm)
     assert cold_files
     assert not {"X.csv", "ground_truth.json"} & set(cold_files)
+    # the manifests differ only in that the warm one lists simulate's files
+    cold_manifest, warm_manifest = (
+        json.loads(files.pop("manifest.json"))
+        for files in (cold_files, warm_files))
+    assert warm_manifest.pop("files") == sorted(
+        [*cold_manifest.pop("files"), "X.csv", "ground_truth.json"])
+    assert warm_manifest == cold_manifest
     assert {name: warm_files[name] for name in cold_files} == cold_files
     for name in set(warm_files) - set(cold_files):
         assert warm_files[name] == simulated[name], name
@@ -1477,7 +1511,8 @@ class TestManifest:
             "config": {"sim": SimConfig.from_dict(dict(SIM, seed=5)).to_dict(),
                        "plan": [dict(ENTRY, family="identity")],
                        "solve": dict(ENTRY, family="identity",
-                                     standardize=False)}}
+                                     standardize=False)},
+            "files": sorted(set(tree(outs[0])) - {"manifest.json"})}
         # no timings: a rerun writes the same bytes
         assert ((outs[0] / "manifest.json").read_bytes()
                 == (outs[1] / "manifest.json").read_bytes())
@@ -1541,8 +1576,16 @@ class TestManifest:
             real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "write_similarity", write)
-        pid = cli._forked(lambda: main(["audit", "--config", str(cfg), "--out",
-                                        str(out), "--seed", "2"]))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                main(["audit", "--config", str(cfg), "--out", str(out),
+                      "--seed", "2"])
+            finally:
+                os._exit(1)
         status = os.waitpid(pid, 0)[1]
         assert os.WIFSIGNALED(status)
         assert os.WTERMSIG(status) == signal.SIGKILL
@@ -1550,6 +1593,93 @@ class TestManifest:
         assert len(staged) == 1 and staged[0].startswith(".writing-")
         assert {name: data for name, data in tree(out).items()
                 if not name.startswith(".")} == last_run
+
+    def test_a_rerun_leaves_only_its_own_files(self, tmp_path):
+        # plan [lambda 10] at seed 3, plan [lambda 20] at seed 3, then plan
+        # [lambda 10] at seed 4: lambda 20's exports, drawn from seed 3, go,
+        # and a file that no manifest listed stays
+        sim = dict(SIM, n=300, p=60, seed=3)
+        out, cold = tmp_path / "out", tmp_path / "cold"
+        out.mkdir()
+        (out / "notes.txt").write_text("listed by no manifest")
+        for lam, seed in ((10.0, []), (20.0, []), (10.0, ["--seed", "4"])):
+            cfg = write_config(tmp_path, {"sim": sim,
+                                          "plan": [dict(ENTRY, **{"lambda": lam})]})
+            assert main(["audit", "--config", str(cfg), "--out", str(out),
+                         *seed]) == 0
+        assert main(["audit", "--config", str(cfg), "--out", str(cold),
+                     "--seed", "4"]) == 0
+        files = tree(out)
+        assert files.pop("notes.txt") == b"listed by no manifest"
+        assert files == tree(cold)
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["seed"] == 4
+        assert set(files) == {*manifest["files"], "manifest.json"}
+
+    def test_simulate_at_a_new_seed_removes_the_last_runs_files(self,
+                                                                tmp_path):
+        # audit and solve keep simulate's files and list them; simulate at
+        # another seed then leaves its own files and no empty pair directory
+        cfg = write_config(tmp_path, {"plan": [ENTRY], "solve": ENTRY})
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["audit"], ["solve"],
+                     ["simulate", "--seed", "2"]):
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            listed = json.loads((out / "manifest.json").read_text())["files"]
+            assert {"X.csv", "ground_truth.json"} <= set(listed)
+            assert set(tree(out)) == {*listed, "manifest.json"}
+        assert sorted(f.name for f in out.iterdir()) == [
+            "X.csv", "ground_truth.json", "manifest.json"]
+
+    def test_a_listed_name_outside_the_directory_is_never_deleted(
+            self, tmp_path):
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not the command's")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": ["../outside.txt", str(outside)]}))
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert outside.read_text() == "not the command's"
+
+    @pytest.mark.parametrize("stop", ["killed", "failing"])
+    def test_rerun_stopped_while_exporting_keeps_the_last_run(
+            self, tmp_path, monkeypatch, stop):
+        # a rerun with another plan, stopped at its first export, deletes
+        # none of the files that the last run's manifest lists
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        last_run = tree(out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+        def write(*args, **kwargs):
+            if stop == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_similarity", write)
+        other = write_config(tmp_path, {"plan": [dict(ENTRY, rank=5)]},
+                             name="other.json")
+        argv = ["audit", "--config", str(other), "--out", str(out)]
+        if stop == "failing":
+            assert main(argv) == 3
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    main(argv)
+                finally:
+                    os._exit(1)
+            assert os.WTERMSIG(os.waitpid(pid, 0)[1]) == signal.SIGKILL
+        assert {name: data for name, data in tree(out).items()
+                if not name.startswith(".")} == last_run
+        listed = json.loads(last_run["manifest.json"])["files"]
+        assert set(last_run) == {*listed, "manifest.json"}
 
     def test_failed_move_leaves_no_manifest(self, tmp_path, capsys):
         # the rerun's report.json cannot replace a directory of that name,
