@@ -160,14 +160,14 @@ def _resolve(args) -> Resolved:
 def _writing(cfg: Resolved):
     """A staging directory in cfg.out for a command's files. Once they and
     manifest.json are written, each moves to its place in cfg.out, then the
-    files that the previous manifest listed and this one does not are
-    deleted, then manifest.json moves; a failure before that leaves cfg.out
-    as it was. manifest.json holds the whole resolved config, flags applied
-    ("config"), its hash ("config_sha256"), the "seed", the "sampler", the
-    "version", the "numpy" and "blas" that computed the outputs, and the
-    "files" cfg.out then holds besides it: this run's, and the SIMULATED
-    ones that _refuse_stale checked against this config. It holds no
-    timings, so reruns match."""
+    files inside cfg.out that the previous manifest listed and this one
+    does not are deleted, then manifest.json moves; a failure before that
+    leaves cfg.out as it was. manifest.json holds the whole resolved config,
+    flags applied ("config"), its hash ("config_sha256"), the "seed", the
+    "sampler", the "version", the "numpy" and "blas" that computed the
+    outputs, and the "files" cfg.out then holds besides it: this run's, and
+    the SIMULATED ones that _refuse_stale checked against this config. It
+    holds no timings, so reruns match."""
     cfg.out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".writing-", dir=cfg.out))
     try:
@@ -189,11 +189,14 @@ def _writing(cfg: Resolved):
             to = cfg.out / f
             to.parent.mkdir(exist_ok=True)
             os.replace(stage / f, to)
+        inside = cfg.out.resolve()
         for f in sorted(stale):
             to = cfg.out / f
-            if to.is_file():
+            # never outside cfg.out: by "..", an absolute name or a symlink
+            if to.is_file() and to.parent.resolve().is_relative_to(inside):
                 to.unlink()
-                if to.parent != cfg.out and not any(to.parent.iterdir()):
+                if (to.parent != cfg.out and not to.parent.is_symlink()
+                        and not any(to.parent.iterdir())):
                     to.parent.rmdir()  # as solve's pair directory
         os.replace(stage / manifest.name, manifest)
     finally:
@@ -201,16 +204,14 @@ def _writing(cfg: Resolved):
 
 
 def _listed(manifest: Path) -> set[str]:
-    """The files a command's `manifest` lists: none where it is missing or
-    lists none, and only names inside its directory."""
+    """The names a command's `manifest` lists as its "files": none where it
+    is missing or lists none."""
     try:
         files = read_json(manifest)["files"]
     except (OSError, ValueError, LookupError, TypeError):
         return set()
-    if not isinstance(files, list):
-        return set()
-    return {f for f in files if isinstance(f, str) and f
-            and not Path(f).is_absolute() and ".." not in Path(f).parts}
+    return ({f for f in files if isinstance(f, str)}
+            if isinstance(files, list) else set())
 
 
 def _refuse_stale(out: Path, sim_cfg: SimConfig) -> None:
@@ -319,16 +320,15 @@ def _in_child(fill, size: int = 0):
     return lambda: array if os.waitpid(pid, 0)[1] == 0 else None
 
 
-def _audit_input(sim_cfg: SimConfig):
+def _audit_input(sim_cfg: SimConfig, k: int):
     """(spectrum of X, ground truth) of `sim_cfg`. A forked child draws X and
-    counts its Gram (no BLAS), and a second one decomposes that Gram, read
-    from the first one's mapping, while this process draws the ground
-    truth, so eigh sits neither on the sampler's memory nor on the pages
-    this process touched at import. Where the first child cannot run or
-    fails, this process draws X and meets its errors; where the second
-    does, this process decomposes the Gram in that mapping."""
+    counts its Gram (no BLAS); a second one decomposes that Gram, read from
+    the first one's mapping, and writes the top k of σ and V, k the plan's
+    largest rank, to a mapping that this process reads in place, having
+    drawn the ground truth meanwhile: eigh sits neither on the sampler's
+    memory nor on the pages this process touched at import. Where a child
+    cannot run or fails, this process does its work and meets its errors."""
     n, p = sim_cfg.n, sim_cfg.p
-    r = min(n, p)
 
     def count(out):
         out.reshape(p, p)[:] = sample_interactions(sim_cfg)[0].gram()
@@ -341,24 +341,24 @@ def _audit_input(sim_cfg: SimConfig):
 
     def decompose(out):
         spec = Spectrum.of_gram(gram, n)
-        out[:p * r].reshape(p, r)[:] = spec.right
-        out[p * r:] = spec.singular_values
+        out[:p * k].reshape(p, k)[:] = spec.right[:, :k]
+        out[p * k:] = spec.singular_values[:k]
 
-    wait = _in_child(decompose, p * r + r)
+    wait = _in_child(decompose, p * k + k)
     try:
         gt = sample_ground_truth(sim_cfg)
     finally:
         decomposed = wait()
     if decomposed is None:
-        return Spectrum.of_gram(gram, n), gt
-    return Spectrum(singular_values=decomposed[p * r:].copy(),
-                    right=decomposed[:p * r].reshape(p, r).copy()), gt
+        decompose(decomposed := np.empty(p * k + k))
+    return Spectrum(singular_values=decomposed[p * k:],
+                    right=decomposed[:p * k].reshape(p, k)), gt
 
 
 def cmd_audit(args) -> int:
     cfg = _resolve(args)
     plan, out, sim_cfg = cfg.plan, cfg.out, cfg.sim
-    spec, gt = _audit_input(sim_cfg)
+    spec, gt = _audit_input(sim_cfg, max(e.rank for e in plan))
     # the report, its warnings and its first compute error, before any
     # file is written; the exports take its pairs
     report = compare_configurations(spec, gt, plan)

@@ -123,10 +123,10 @@ def as_matrix(values) -> np.ndarray:
 class Spectrum:
     """Singular values and right singular vectors of an n x p matrix X.
 
-    `singular_values` holds the min(n, p) largest, descending, with every
-    value whose square is Gram rounding noise (GRAM_RANK_FACTOR) set to
-    exactly 0; `right` holds the matching columns of V under the sign
-    convention of `svd`. Both closed forms depend on X only through these.
+    `singular_values` holds the top k, descending, each one whose square is
+    Gram rounding noise (GRAM_RANK_FACTOR) set to exactly 0; `right` holds
+    the matching columns of V, signed as by `svd`. k is min(n, p) from
+    `of_gram`, or only a plan's largest rank. Both closed forms need no more.
     """
 
     singular_values: np.ndarray

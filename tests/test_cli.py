@@ -897,6 +897,9 @@ class TestAuditWorkers:
             for f in ("collapse", "identity", "inverse",
                       "symmetric-matching")] + [
            {"objective": 2, "lambda": 10.0, "rank": 20}]
+    # ranks 5 and 20: the largest, which the spectrum holds, is not the first
+    MIXED = [{"objective": 1, "lambda": 1000.0, "rank": 5, "family": "inverse"},
+             {"objective": 2, "lambda": 10.0, "rank": 20}]
 
     @staticmethod
     def run(monkeypatch, capsys, cfg, out, cpus):
@@ -979,14 +982,42 @@ class TestAuditWorkers:
 
     def test_one_process_where_fork_is_missing(self, tmp_path,
                                                monkeypatch, capsys):
-        cfg = self.config(tmp_path, self.PLAN)
-        one, two = tmp_path / "one", tmp_path / "two"
-        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
-        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 4)
-        assert len(tree(one)) == 3 * len(self.PLAN) + 3
-        assert tree(two) == tree(one)
-        assert err2 == err1
+        for i, plan in enumerate((self.PLAN, self.MIXED)):
+            cfg = self.config(tmp_path, plan)
+            one, two = tmp_path / f"one{i}", tmp_path / f"two{i}"
+            code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+            code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+            assert (code1, code2, forks) == (0, 0, 4)
+            assert len(tree(one)) == 3 * len(plan) + 3
+            assert tree(two) == tree(one)
+            assert err2 == err1
+
+    def test_the_command_holds_only_the_plans_top_k(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the spectrum handed to the report is read in place from the
+        # decomposition child's mapping, and holds the top k columns, k the
+        # plan's largest rank, of the one-process spectrum
+        handed = []
+        real = cli.compare_configurations
+
+        def compare(spec, gt, plan):
+            handed.append(spec)
+            return real(spec, gt, plan)
+
+        monkeypatch.setattr(cli, "compare_configurations", compare)
+        code, _, forks = self.run(monkeypatch, capsys,
+                                  self.config(tmp_path, self.MIXED),
+                                  tmp_path / "out", 2)
+        assert (code, forks) == (0, 4)
+        [spec] = handed
+        k = max(e["rank"] for e in self.MIXED)
+        assert spec.right.shape == (self.SIM["p"], k)
+        assert spec.singular_values.shape == (k,)
+        assert not spec.right.flags.owndata
+        assert not spec.singular_values.flags.owndata
+        full = spectrum(sample_interactions(SimConfig.from_dict(self.SIM))[0])
+        assert np.array_equal(spec.right, full.right[:, :k])
+        assert np.array_equal(spec.singular_values, full.singular_values[:k])
 
     def draw_redone_here(self, tmp_path, monkeypatch, capsys, in_child):
         """Runs `audit` with `in_child` called by the draw of the forked
@@ -1043,7 +1074,7 @@ class TestAuditWorkers:
         assert err2 == err1
 
     def decomposition_redone_here(self, tmp_path, monkeypatch, capsys,
-                                  in_child, forks=4):
+                                  in_child, forks=4, plan=None):
         """Runs `audit` with `in_child` called by the decomposition in the
         forked decomposition child, so this process decomposes the Gram
         again. The run must give the files, stderr and exit code of one
@@ -1059,14 +1090,15 @@ class TestAuditWorkers:
             return real(gram, n)
 
         monkeypatch.setattr(Spectrum, "of_gram", classmethod(of_gram))
-        cfg = self.config(tmp_path, self.PLAN)
+        plan = plan or self.PLAN
+        cfg = self.config(tmp_path, plan)
         one, two = tmp_path / "one", tmp_path / "two"
         code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
         code2, err2, forked = self.run(monkeypatch, capsys, cfg, two, 2)
         assert (code1, code2, forked) == (0, 0, forks)
         p = self.SIM["p"]
         assert decomposed_here == [(p, p)] * 2
-        assert len(tree(one)) == 3 * len(self.PLAN) + 3
+        assert len(tree(one)) == 3 * len(plan) + 3
         assert tree(two) == tree(one)
         assert err2 == err1
 
@@ -1081,7 +1113,11 @@ class TestAuditWorkers:
         def fail():
             raise MemoryError("out of memory in the child")
 
-        self.decomposition_redone_here(tmp_path, monkeypatch, capsys, fail)
+        for i, plan in enumerate((self.PLAN, self.MIXED)):
+            (tmp_path / str(i)).mkdir()
+            with monkeypatch.context() as m:
+                self.decomposition_redone_here(tmp_path / str(i), m, capsys,
+                                               fail, plan=plan)
 
     def test_no_room_for_the_spectrum_mapping(self, tmp_path, monkeypatch,
                                               capsys):
@@ -1642,6 +1678,47 @@ class TestManifest:
         cfg = write_config(tmp_path, {"plan": [ENTRY]})
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
         assert outside.read_text() == "not the command's"
+
+    @pytest.mark.parametrize("victim_holds", [["precious.txt", "other.txt"],
+                                              ["precious.txt"]],
+                             ids=["kept", "emptied"])
+    def test_a_listed_name_under_a_symlinked_directory_is_never_deleted(
+            self, tmp_path, victim_holds):
+        # out/link leads out of out: the file it reaches stays, the link is
+        # never removed, and the rerun writes its manifest
+        victim, out = tmp_path / "victim", tmp_path / "out"
+        victim.mkdir()
+        for name in victim_holds:
+            (victim / name).write_text("not the command's")
+        out.mkdir()
+        (out / "link").symlink_to(os.path.join("..", "victim"))
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": ["link/precious.txt"]}))
+        cfg = write_config(tmp_path, {"sim": dict(SIM, n=300, p=60),
+                                      "plan": [dict(ENTRY, rank=5,
+                                                    **{"lambda": 10.0})]})
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(f.name for f in victim.iterdir()) == sorted(victim_holds)
+        assert (victim / "precious.txt").read_text() == "not the command's"
+        assert (out / "link").is_symlink()
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert "link/precious.txt" not in listed
+
+    def test_a_symlinked_directory_inside_is_emptied_not_removed(self,
+                                                                 tmp_path):
+        # out/link leads to out/sub: the listed file there is the command's
+        # and goes, and neither the link nor the directory is removed
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "sub" / "old.csv").write_text("the last run's")
+        (out / "link").symlink_to("sub")
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": ["link/old.csv"]}))
+        cfg = write_config(tmp_path, {"plan": [ENTRY]})
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not (out / "sub" / "old.csv").exists()
+        assert (out / "link").is_symlink() and (out / "sub").is_dir()
+        assert (out / "manifest.json").is_file()
 
     @pytest.mark.parametrize("stop", ["killed", "failing"])
     def test_rerun_stopped_while_exporting_keeps_the_last_run(
