@@ -70,11 +70,9 @@ def cluster_contrast(s: SimilarityMatrix, gt: GroundTruth) -> ClusterContrast:
         raise ValueError(f"similarity shape {v.shape} does not match "
                          f"{clusters.shape[0]} items")
     same = clusters[:, None] == clusters[None, :]
-    offdiag = ~np.eye(clusters.shape[0], dtype=bool)
-    within_mask = same & offdiag
-    between_mask = ~same
+    within_mask = same & ~np.eye(clusters.shape[0], dtype=bool)
     within = float(v[within_mask].mean()) if within_mask.any() else None
-    between = float(v[between_mask].mean()) if between_mask.any() else None
+    between = float(v[~same].mean()) if not same.all() else None
     return ClusterContrast(within_mean=within, between_mean=between)
 
 

@@ -31,7 +31,7 @@ from .errors import ConfigError, check_section
 from .io_utils import (read_json, write_embedding_pair, write_json,
                        write_manifest, write_matrix_csv, write_pgm,
                        write_similarity)
-from .matrix_core import Spectrum, spectrum
+from .matrix_core import Spectrum
 from .remedies import standardize
 from .rescale import FAMILIES
 from .similarity import item_item, user_item, user_user
@@ -293,8 +293,9 @@ def _in_child(fill, size: int = 0):
     """Forks a child that runs `fill` on a float64 array of `size` held in an
     anonymous shared mapping, or on an empty array and no mapping for size
     0, and leaves by os._exit, 0 if `fill` returned and 1 otherwise, so no
-    atexit handler or caller's `finally` runs there. Returns a function that
-    waits for the child and returns that array itself, or None: where
+    atexit handler or caller's `finally` runs there; there a warning is an
+    error and prints nothing, and here no filter is set. Returns a function
+    that waits for the child and returns that array itself, or None: where
     os.fork is missing, where the mapping cannot be made or the fork fails,
     and when the child failed or died. Call it, in a `finally` if work
     comes between, so that no child outlives the caller."""
@@ -302,11 +303,7 @@ def _in_child(fill, size: int = 0):
         return lambda: None
     try:
         array = np.frombuffer(mmap.mmap(-1, 8 * size)) if size else np.empty(0)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads forks; the only
-            # threads here are OpenBLAS's, whose own fork handlers stop them
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        pid = os.fork()
     except (OSError, OverflowError):
         return lambda: None  # no room or no process: the caller does it
     if pid == 0:
@@ -322,12 +319,13 @@ def _in_child(fill, size: int = 0):
 
 def _audit_input(sim_cfg: SimConfig, k: int):
     """(spectrum of X, ground truth) of `sim_cfg`. A forked child draws X and
-    counts its Gram (no BLAS); a second one decomposes that Gram, read from
-    the first one's mapping, and writes the top k of σ and V, k the plan's
-    largest rank, to a mapping that this process reads in place, having
-    drawn the ground truth meanwhile: eigh sits neither on the sampler's
-    memory nor on the pages this process touched at import. Where a child
-    cannot run or fails, this process does its work and meets its errors."""
+    counts its Gram (no BLAS); a second one decomposes that Gram and writes
+    the top k of σ and V, k the plan's largest rank, to a mapping that this
+    process reads in place, having drawn the ground truth meanwhile: eigh
+    sits neither on the sampler's memory nor on the pages this process
+    touched at import. A child that cannot run or fails has its step run
+    here, into an array of its own, meeting its errors, and the next step
+    goes on from that array, so every layout hands on the same spectrum."""
     n, p = sim_cfg.n, sim_cfg.p
 
     def count(out):
@@ -335,8 +333,7 @@ def _audit_input(sim_cfg: SimConfig, k: int):
 
     gram = _in_child(count, p * p)()
     if gram is None:
-        X, gt = sample_interactions(sim_cfg)
-        return spectrum(X), gt
+        count(gram := np.empty(p * p))
     gram = gram.reshape(p, p)
 
     def decompose(out):
@@ -462,15 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, *_) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # one structured line per warning, without its source line
-        warnings.showwarning = _warning_line
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        # set once, before any work: setting a filter forgets the warnings
+        # already printed. Python 3.12+ warns at a fork with threads; ours
+        # are OpenBLAS's, whose own fork handlers stop them
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is "
+                                "multi-threaded", DeprecationWarning)
         try:
             return args.fn(args)
         except ConfigError as e:

@@ -196,9 +196,19 @@ def write_json(path, obj) -> None:
         f.write(text + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    keys = [k for k, _ in pairs]
+    for i, k in enumerate(keys):
+        if k in keys[:i]:
+            raise ValueError(f"key {k!r} given twice")
+    return dict(pairs)
+
+
 def read_json(path):
+    """The value in a JSON file; an object that gives a key twice raises
+    ValueError, as json.load would keep the last value silently."""
     with open(path) as f:
-        return json.load(f)
+        return json.load(f, object_pairs_hook=_unique_keys)
 
 
 def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:

@@ -2,9 +2,9 @@
 SVD, row normalization, cosine of rows.
 
 Matrices are plain float64 numpy arrays, except a 0/1 interaction matrix,
-which `BinaryRows` holds as the column indices of its ones: `spectrum`
-counts its Gram from those indices, and `as_matrix` densifies it where its
-rows are multiplied. The CLI decomposes X only through `spectrum`; `svd`,
+which `BinaryRows` holds as the column indices of its ones: its `gram`
+counts X^T X from those indices, and `as_matrix` densifies it where its
+rows are multiplied. X is decomposed only by `Spectrum.of_gram`; `svd`,
 the plain triple (U, sigma, V) of a dense matrix, is the reference it is
 tested against. Tolerance conventions used throughout the package:
 1e-12 for exact algebraic identities on small matrices, 1e-8 for

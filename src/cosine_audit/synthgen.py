@@ -15,7 +15,7 @@ the ground truth of a seed is unchanged, its X is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,12 +54,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n", "must be >= 1")
-        if self.p < 1:
-            raise ConfigError("p", "must be >= 1")
-        if self.C < 1:
-            raise ConfigError("C", "must be >= 1")
+        for key in ("n", "p", "C"):
+            if getattr(self, key) < 1:
+                raise ConfigError(key, "must be >= 1")
         # sample_interactions keys the item j of user u as u * p + j, an int64
         if self.n * self.p >= 2 ** 63:
             raise ConfigError("n", f"n * p = {self.n * self.p} must be below "
@@ -115,12 +112,7 @@ class GroundTruth:
     user_prefs: np.ndarray         # (n, C), rows sum to 1
 
     def to_dict(self) -> dict:
-        return {
-            "item_cluster": self.item_cluster.tolist(),
-            "item_popularity": self.item_popularity.tolist(),
-            "cluster_exponents": self.cluster_exponents.tolist(),
-            "user_prefs": self.user_prefs.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:

@@ -443,6 +443,27 @@ class TestStrictConfig:
         assert list(cwd.iterdir()) == []
 
     @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text, key", [
+        ('{"sim": {"n": 300, "p": 60, "seed": 3, "seed": 4}}', "seed"),
+        ('{"sim": {"n": 300, "p": 60}, "plan": [{"objective": 1, '
+         '"lambda": 10.0, "rank": 5, "rank": 6}]}', "rank")],
+        ids=["sim.seed", "plan.rank"])
+    def test_a_key_given_twice_exit_2_writing_nothing(
+            self, tmp_path, monkeypatch, capsys, command, text, key):
+        # json.load would keep the last value silently
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config: cannot read {path}: key {key!r} given "
+            "twice\n")
+        assert not out.exists()
+        assert list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_out_naming_a_file_exit_2_before_drawing(
             self, tmp_path, monkeypatch, capsys, command):
         def forbidden(*args, **kwargs):
@@ -880,11 +901,11 @@ class TestAudit:
 class TestAuditWorkers:
     """`audit` forks every child through one helper, `cli._in_child`. The
     first draws X and counts its Gram into a shared mapping; the second
-    decomposes that Gram, read from the first one's mapping, while the
-    calling process draws the ground truth. The calling process draws X
-    itself only if the first child failed, died or was not forked, and
-    decomposes the Gram in the first one's mapping only if the second
-    did. It then computes its report, and exports each distinct plan
+    decomposes that Gram while the calling process draws the ground
+    truth. A child that failed, died or was not forked has its step run
+    by the calling process, which goes on to the next step as usual: a
+    redone draw is followed by a forked decomposition child. The calling
+    process then computes its report, and exports each distinct plan
     entry once. With W = min(distinct entries, usable CPUs) of 2 or more,
     forked child w writes distinct[w::W] while the calling process only
     waits; it then writes again, in plan order, the entries of each child
@@ -900,6 +921,9 @@ class TestAuditWorkers:
     # ranks 5 and 20: the largest, which the spectrum holds, is not the first
     MIXED = [{"objective": 1, "lambda": 1000.0, "rank": 5, "family": "inverse"},
              {"objective": 2, "lambda": 10.0, "rank": 20}]
+    # the children that build the report's input, in the order in which
+    # `audit` forks them and makes their mappings
+    STAGES = ("draw", "decomposition")
 
     @staticmethod
     def run(monkeypatch, capsys, cfg, out, cpus):
@@ -994,9 +1018,10 @@ class TestAuditWorkers:
 
     def test_the_command_holds_only_the_plans_top_k(self, tmp_path,
                                                     monkeypatch, capsys):
-        # the spectrum handed to the report is read in place from the
-        # decomposition child's mapping, and holds the top k columns, k the
-        # plan's largest rank, of the one-process spectrum
+        # in every layout, the spectrum handed to the report is read in
+        # place from the decomposition's mapping or array and holds the
+        # top k columns, k the plan's largest rank, of the one-process
+        # spectrum: forked, without os.fork, and with either child failing
         handed = []
         real = cli.compare_configurations
 
@@ -1004,155 +1029,145 @@ class TestAuditWorkers:
             handed.append(spec)
             return real(spec, gt, plan)
 
-        monkeypatch.setattr(cli, "compare_configurations", compare)
-        code, _, forks = self.run(monkeypatch, capsys,
-                                  self.config(tmp_path, self.MIXED),
-                                  tmp_path / "out", 2)
-        assert (code, forks) == (0, 4)
-        [spec] = handed
+        cfg = self.config(tmp_path, self.MIXED)
         k = max(e["rank"] for e in self.MIXED)
-        assert spec.right.shape == (self.SIM["p"], k)
-        assert spec.singular_values.shape == (k,)
-        assert not spec.right.flags.owndata
-        assert not spec.singular_values.flags.owndata
         full = spectrum(sample_interactions(SimConfig.from_dict(self.SIM))[0])
-        assert np.array_equal(spec.right, full.right[:, :k])
-        assert np.array_equal(spec.singular_values, full.singular_values[:k])
+        for layout in ("forked", "no fork", *self.STAGES):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "compare_configurations", compare)
+                out = tmp_path / layout
+                if layout == "no fork":
+                    code, _ = self.one_process(m, capsys, cfg, out)
+                    forks = 0
+                else:
+                    if layout in self.STAGES:
+                        self.break_child(m, layout, "raising")
+                    code, _, forks = self.run(m, capsys, cfg, out, 2)
+            forked = 0 if layout == "no fork" else 4
+            assert (code, forks) == (0, forked), layout
+            spec = handed.pop()
+            assert spec.right.shape == (self.SIM["p"], k)
+            assert spec.singular_values.shape == (k,)
+            assert not spec.right.flags.owndata
+            assert not spec.singular_values.flags.owndata
+            assert np.array_equal(spec.right, full.right[:, :k])
+            assert np.array_equal(spec.singular_values,
+                                  full.singular_values[:k])
+        assert handed == []
 
-    def draw_redone_here(self, tmp_path, monkeypatch, capsys, in_child):
-        """Runs `audit` with `in_child` called by the draw of the forked
-        draw child, so this process draws X again. The run must give the
-        files, stderr and exit code of one where os.fork is missing."""
+    def break_child(self, m, stage, fault):
+        """Patches, through `m`, the forked `stage` child, one of STAGES,
+        to be "killed" or to be "raising" in its step, or to get "no
+        mapping" (its own and each later one, as when memory is short) or
+        "no process". Returns the first argument of each draw and each
+        decomposition this process runs, by stage, and each call to the
+        refused os.fork or mmap.mmap under "calls"."""
         parent = os.getpid()
-        real = cli.sample_interactions
-        drawn_here = []
+        at = self.STAGES.index(stage) + 1
+        here = {"draw": [], "decomposition": [], "calls": []}
 
-        def draw(sim_cfg):
-            if os.getpid() != parent:
-                in_child()
-            drawn_here.append(sim_cfg.seed)
-            return real(sim_cfg)
+        def step(name, real):
+            def call(*args):
+                if os.getpid() == parent:
+                    here[name].append(args[0])
+                elif name == stage and fault == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                elif name == stage and fault == "raising":
+                    raise MemoryError("out of memory in the child")
+                return real(*args)
+            return call
 
-        monkeypatch.setattr(cli, "sample_interactions", draw)
-        cfg = self.config(tmp_path, self.PLAN)
-        one, two = tmp_path / "one", tmp_path / "two"
-        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
-        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 3)
-        assert drawn_here == [self.SIM["seed"]] * 2
-        assert len(tree(one)) == 3 * len(self.PLAN) + 3
-        assert tree(two) == tree(one)
-        assert err2 == err1
+        def refused(real, error, last):
+            def call(*args):
+                here["calls"].append(args)
+                if at <= len(here["calls"]) <= last:
+                    raise error
+                return real(*args)
+            return call
+
+        m.setattr(cli, "sample_interactions",
+                  step("draw", cli.sample_interactions))
+        m.setattr(Spectrum, "of_gram",
+                  staticmethod(step("decomposition", Spectrum.of_gram)))
+        if fault == "no mapping":
+            m.setattr(mmap, "mmap", refused(mmap.mmap, OSError(
+                errno.ENOMEM, "Cannot allocate memory"), len(self.STAGES)))
+        if fault == "no process":
+            # a fork that fails, as at a process limit, is a child that failed
+            m.setattr(os, "fork", refused(os.fork, OSError(
+                errno.EAGAIN, "Resource temporarily unavailable"), at))
+        return here
+
+    def step_run_here(self, tmp_path, monkeypatch, capsys, stage, fault):
+        """Runs `audit` on 2 CPUs, on PLAN and on MIXED, with the forked
+        `stage` child broken by `fault` (see break_child): this process
+        runs that child's step itself and goes on to the next step, forked
+        when it can be. The run must give the files, stderr and exit code
+        of one where os.fork is missing."""
+        p, seed = self.SIM["p"], self.SIM["seed"]
+        # no mapping: that child and each later one are not forked
+        forks = ({"draw": 2, "decomposition": 3}[stage]
+                 if fault == "no mapping" else 4)
+        # this process draws X again only for a broken draw child, and
+        # decomposes the Gram again for a broken decomposition child or
+        # where no mapping could be made
+        redrawn = stage == "draw"
+        redone = stage == "decomposition" or fault == "no mapping"
+        for i, plan in enumerate((self.PLAN, self.MIXED)):
+            with monkeypatch.context() as m:
+                here = self.break_child(m, stage, fault)
+                cfg = self.config(tmp_path, plan)
+                one, two = tmp_path / f"one{i}", tmp_path / f"two{i}"
+                code1, err1 = self.one_process(m, capsys, cfg, one)
+                code2, err2, forked = self.run(m, capsys, cfg, two, 2)
+            assert (code1, code2, forked) == (0, 0, forks)
+            assert [c.seed for c in here["draw"]] == [seed] * (1 + redrawn)
+            assert [g.shape for g in here["decomposition"]] == (
+                [(p, p)] * (1 + redone))
+            assert len(here["calls"]) == {"killed": 0, "raising": 0,
+                                          "no mapping": 2,
+                                          "no process": 4}[fault]
+            assert len(tree(one)) == 3 * len(plan) + 3
+            assert tree(two) == tree(one)
+            assert err2 == err1
 
     def test_draw_child_killed(self, tmp_path, monkeypatch, capsys):
-        def die():
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        self.draw_redone_here(tmp_path, monkeypatch, capsys, die)
+        self.step_run_here(tmp_path, monkeypatch, capsys, "draw", "killed")
 
     def test_draw_failing_only_in_the_child(self, tmp_path, monkeypatch,
                                             capsys):
-        def fail():
-            raise MemoryError("out of memory in the child")
-
-        self.draw_redone_here(tmp_path, monkeypatch, capsys, fail)
+        self.step_run_here(tmp_path, monkeypatch, capsys, "draw", "raising")
 
     def test_no_room_for_the_gram_mapping(self, tmp_path, monkeypatch,
                                           capsys):
-        # this process draws X itself, as where os.fork is missing
-        cfg = self.config(tmp_path, self.PLAN)
-        one, two = tmp_path / "one", tmp_path / "two"
-        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+        # this process draws X and decomposes its Gram itself
+        self.step_run_here(tmp_path, monkeypatch, capsys, "draw",
+                           "no mapping")
 
-        def no_room(*args):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-        monkeypatch.setattr(mmap, "mmap", no_room)
-        code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forks) == (0, 0, 2)
-        assert tree(two) == tree(one)
-        assert err2 == err1
-
-    def decomposition_redone_here(self, tmp_path, monkeypatch, capsys,
-                                  in_child, forks=4, plan=None):
-        """Runs `audit` with `in_child` called by the decomposition in the
-        forked decomposition child, so this process decomposes the Gram
-        again. The run must give the files, stderr and exit code of one
-        where os.fork is missing, and make `forks` calls to os.fork."""
-        parent = os.getpid()
-        real = Spectrum.of_gram
-        decomposed_here = []
-
-        def of_gram(cls, gram, n):
-            if os.getpid() != parent:
-                in_child()
-            decomposed_here.append(gram.shape)
-            return real(gram, n)
-
-        monkeypatch.setattr(Spectrum, "of_gram", classmethod(of_gram))
-        plan = plan or self.PLAN
-        cfg = self.config(tmp_path, plan)
-        one, two = tmp_path / "one", tmp_path / "two"
-        code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
-        code2, err2, forked = self.run(monkeypatch, capsys, cfg, two, 2)
-        assert (code1, code2, forked) == (0, 0, forks)
-        p = self.SIM["p"]
-        assert decomposed_here == [(p, p)] * 2
-        assert len(tree(one)) == 3 * len(plan) + 3
-        assert tree(two) == tree(one)
-        assert err2 == err1
+    def test_no_process_for_the_draw(self, tmp_path, monkeypatch, capsys):
+        self.step_run_here(tmp_path, monkeypatch, capsys, "draw",
+                           "no process")
 
     def test_decomposition_child_killed(self, tmp_path, monkeypatch, capsys):
-        def die():
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        self.decomposition_redone_here(tmp_path, monkeypatch, capsys, die)
+        self.step_run_here(tmp_path, monkeypatch, capsys, "decomposition",
+                           "killed")
 
     def test_decomposition_failing_only_in_the_child(self, tmp_path,
                                                      monkeypatch, capsys):
-        def fail():
-            raise MemoryError("out of memory in the child")
-
-        for i, plan in enumerate((self.PLAN, self.MIXED)):
-            (tmp_path / str(i)).mkdir()
-            with monkeypatch.context() as m:
-                self.decomposition_redone_here(tmp_path / str(i), m, capsys,
-                                               fail, plan=plan)
+        self.step_run_here(tmp_path, monkeypatch, capsys, "decomposition",
+                           "raising")
 
     def test_no_room_for_the_spectrum_mapping(self, tmp_path, monkeypatch,
                                               capsys):
         # the draw child's mapping is made, the decomposition's is refused
         # and this process decomposes without forking
-        real = mmap.mmap
-        made = []
-
-        def second_refused(*args):
-            made.append(args)
-            if len(made) == 2:
-                raise OSError(errno.ENOMEM, "Cannot allocate memory")
-            return real(*args)
-
-        monkeypatch.setattr(mmap, "mmap", second_refused)
-        self.decomposition_redone_here(tmp_path, monkeypatch, capsys,
-                                       in_child=None, forks=3)
-        assert len(made) == 2
+        self.step_run_here(tmp_path, monkeypatch, capsys, "decomposition",
+                           "no mapping")
 
     def test_no_process_for_the_decomposition(self, tmp_path, monkeypatch,
                                               capsys):
-        # a fork that fails, as at a process limit, is a child that failed
-        real = os.fork
-        calls = []
-
-        def fork():
-            calls.append(os.getpid())
-            if len(calls) == 2:
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            return real()
-
-        monkeypatch.setattr(os, "fork", fork)
-        self.decomposition_redone_here(tmp_path, monkeypatch, capsys,
-                                       in_child=None)
-        assert len(calls) == 4
+        self.step_run_here(tmp_path, monkeypatch, capsys, "decomposition",
+                           "no process")
 
     @pytest.mark.parametrize("refused", [3, 4])
     def test_no_process_for_an_export_worker(self, tmp_path, monkeypatch,
@@ -1203,9 +1218,10 @@ class TestAuditWorkers:
 
     def test_ground_truth_warning_printed_once(self, tmp_path, monkeypatch,
                                                capfd):
-        # the draw child and this process both draw the ground truth; a
-        # warning fails the child, which prints nothing, and this process
-        # draws X again, printing it once, as one process does
+        # a warning fails the draw child, which prints nothing; this
+        # process draws X again, printing it, then draws the ground truth
+        # again, which prints nothing, as no filter was set in between: so
+        # it is printed once, as one process does
         real = synthgen.sample_ground_truth
 
         def draw(sim_cfg):
@@ -1218,6 +1234,30 @@ class TestAuditWorkers:
         assert main(["audit", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
         assert capfd.readouterr().err == "warning: the ground truth warns\n"
+
+    def test_the_fork_warning_is_not_printed(self, tmp_path, monkeypatch,
+                                             capsys):
+        # as on Python 3.12+, whose os.fork warns in a process with
+        # threads; shown, as under -X dev, unless `main` filters it
+        real = os.fork
+
+        def fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = self.config(tmp_path, self.PLAN)
+        one, two = tmp_path / "one", tmp_path / "two"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DeprecationWarning)
+            code1, err1 = self.one_process(monkeypatch, capsys, cfg, one)
+            code2, err2, forks = self.run(monkeypatch, capsys, cfg, two, 2)
+        assert (code1, code2, forks) == (0, 0, 4)
+        assert tree(two) == tree(one)
+        assert err2 == err1
 
     @pytest.mark.parametrize("error, exit_code", [
         (np.linalg.LinAlgError("eigenvalues did not converge"), 3),
