@@ -216,6 +216,12 @@ class PlanEntry:
         name = f"{lam:g}" if float(f"{lam:g}") == lam else f"{lam}"
         return f"obj{self.objective}_lam{name}_k{self.rank}_{self.family}"
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "PlanEntry":
+        """The entry of the plan-entry keys in `raw`; no family is identity."""
+        return cls(objective=raw["objective"], lam=float(raw["lambda"]),
+                   rank=raw["rank"], family=raw.get("family", cls.family))
+
     def to_dict(self) -> dict:
         return {"objective": self.objective, "lambda": self.lam,
                 "rank": self.rank, "family": self.family}

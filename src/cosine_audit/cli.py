@@ -68,15 +68,15 @@ SIMULATED = ("X.csv", "ground_truth.json")
 
 
 # the JSON type of each key the config file may hold at its top level, in
-# its "output" section, in a plan entry and in its "solve" section; the
-# "sim" section's table is synthgen.SIM_KEYS
+# its "output" section, in a plan entry and in its "solve" section (an
+# entry and "standardize"); the "sim" section's table is synthgen.SIM_KEYS
 CONFIG_KEYS = {"sim": "a JSON object", "solve": "a JSON object",
                "plan": "a non-empty list", "output": "a JSON object"}
 OUTPUT_KEYS = {"dir": "a string"}
 ENTRY_KEYS = {"objective": "an integer", "lambda": "a number",
               "rank": "an integer"}
 PLAN_KEYS = {**ENTRY_KEYS, "family": "a string"}
-SOLVE_KEYS = {**ENTRY_KEYS, "standardize": "true or false"}
+SOLVE_KEYS = {**PLAN_KEYS, "standardize": "true or false"}
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ class Resolved:
 
 def _entry(fields: dict, where: str, max_rank: int | None) -> PlanEntry:
     try:
-        entry = PlanEntry(objective=fields["objective"],
-                          lam=float(fields["lambda"]), rank=fields["rank"],
-                          family=fields.get("family", "identity"))
+        entry = PlanEntry.from_dict(fields)
     except ConfigError as e:
         raise ConfigError(f"{where}.{e.key}", e.message)
     if max_rank is not None and entry.rank > max_rank:
@@ -126,7 +124,7 @@ def _resolve(args) -> Resolved:
             for i, e in enumerate(cfg.get("plan", DEFAULT_PLAN))]
     solve = check_section(cfg.get("solve", {}), "solve", SOLVE_KEYS)
     flags = {k: v for k, v in vars(args).items()
-             if k in ("objective", "lambda", "rank", "family") and v is not None}
+             if k in PLAN_KEYS and v is not None}
     output = check_section(cfg.get("output", {}), "output", OUTPUT_KEYS)
     fields = {**solve, **flags}
     solve_entry = _entry({**DEFAULT_SOLVE, **fields}, "solve",
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda": {"dest": "lambda", "type": float, "metavar": "REAL"},
         "--rank": {"type": int, "metavar": "INT"},
         "--objective": {"type": int, "choices": (1, 2)},
-        "--family": {"choices": FAMILIES, "default": "identity"},
+        "--family": {"choices": FAMILIES},
         "--metric": {"choices": ("cosine", "dot"), "default": "cosine"},
         "--kind": {"choices": ("item-item", "user-user", "user-item"),
                    "default": "item-item"},

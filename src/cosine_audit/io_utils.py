@@ -213,13 +213,11 @@ def read_json(path):
 
 def write_pgm(path, values: np.ndarray, lo: float, hi: float) -> None:
     """Binary (P5) PGM: values mapped linearly from [lo, hi] to gray 0..255,
-    one byte per pixel.
+    one byte per pixel; lo < hi.
 
     values may have any real dtype and memory layout: each block of rows is
     taken as C-ordered float64, so no float64 copy of the whole is made."""
     v = np.asarray(values)
-    if hi <= lo:
-        hi = lo + 1.0
     h, w = v.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
@@ -237,8 +235,9 @@ def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
     write_matrix_csv(csv_path, sim.values)
     if sim.metric == "cosine":
         lo, hi = -1.0, 1.0
-    else:
+    else:  # a constant matrix maps from [lo, lo + 1], all black
         lo, hi = float(sim.values.min()), float(sim.values.max())
+        hi = hi if hi > lo else lo + 1.0
     sidecar = {
         "kind": sim.kind,
         "metric": sim.metric,

@@ -35,11 +35,14 @@ SAMPLER = "successive-sampling"
 _STREAMS = ("clusters", "exponents", "popularities", "prefs", "activity",
             "picks", "completion")
 
-# the JSON type of each key of the config's "sim" section
+# the JSON type of each key of the config's "sim" section, one per field of
+# SimConfig in its order, and how a value of each type becomes its field
 SIM_KEYS = {"n": "an integer", "p": "an integer", "C": "an integer",
             "cluster_probs": "a list of numbers", "beta_item_min": "a number",
             "beta_item_max": "a number", "beta_user": "a number",
             "seed": "an integer"}
+_FIELD_VALUE = {"an integer": int, "a number": float,
+                "a list of numbers": lambda v: tuple(map(float, v))}
 
 
 @dataclass(frozen=True)
@@ -86,22 +89,16 @@ class SimConfig:
         SIM_KEYS is required."""
         check_section(raw, "sim", SIM_KEYS, required=SIM_KEYS)
         try:
-            return cls(n=raw["n"], p=raw["p"], C=raw["C"],
-                       cluster_probs=tuple(map(float, raw["cluster_probs"])),
-                       beta_item_min=float(raw["beta_item_min"]),
-                       beta_item_max=float(raw["beta_item_max"]),
-                       beta_user=float(raw["beta_user"]), seed=raw["seed"])
+            return cls(**{key: _FIELD_VALUE[kind](raw[key])
+                          for key, kind in SIM_KEYS.items()})
         except ConfigError as e:  # name the key by its path, as check_section does
             raise ConfigError(f"sim.{e.key}", e.message) from None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "C": self.C,
-            "cluster_probs": list(self.cluster_probs),
-            "beta_item_min": self.beta_item_min,
-            "beta_item_max": self.beta_item_max,
-            "beta_user": self.beta_user, "seed": self.seed,
-        }
+        """The `sim` section from_dict reads back: a tuple is a JSON list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v
+                for key, v in values.items()}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from cosine_audit.analysis import (PlanEntry, audit_full_rank,
 from cosine_audit.errors import ConfigError, ZeroRowError
 from cosine_audit.matrix_core import cosine_of_rows, spectrum, svd
 from cosine_audit.mf_solvers import EmbeddingPair, solve_objective1
-from cosine_audit.rescale import apply_scaling, named_scaling
+from cosine_audit.rescale import FAMILIES, apply_scaling, named_scaling
 from cosine_audit.similarity import SimilarityMatrix, item_item, user_user
 from cosine_audit.synthgen import (GroundTruth, SimConfig,
                                    figure_item_order, ground_truth_similarity,
@@ -273,6 +273,23 @@ class TestCompareConfigurations:
         with pytest.raises(ConfigError) as e:
             PlanEntry(*fields)
         assert e.value.key == key
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 1e6, 1234567.0])
+    def test_dict_round_trip(self, lam):
+        accepted = []
+        for objective in (1, 2):
+            for family in FAMILIES:
+                try:
+                    accepted.append(PlanEntry(objective, lam, 7, family))
+                except ConfigError:
+                    pass
+        # objective 1 in every family, objective 2 in identity alone
+        assert len(accepted) == len(FAMILIES) + 1
+        for e in accepted:
+            assert PlanEntry.from_dict(e.to_dict()) == e
+        # a plan entry without "family" is identity's
+        raw = {"objective": 2, "lambda": lam, "rank": 7}
+        assert PlanEntry.from_dict(raw) == PlanEntry(2, lam, 7, "identity")
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.just(-0.0),

@@ -245,7 +245,7 @@ class TestStrictEntries:
                                          "fullrank-check"])
     @pytest.mark.parametrize("key, value", [
         ("rank", 8.7), ("objective", True), ("lambda", "100"),
-        ("lamda", 100.0), ("standardize", "no"), ("family", "inverse")])
+        ("lamda", 100.0), ("standardize", "no"), ("family", 3)])
     def test_solve_section_exit_2_naming_the_key(self, tmp_path, capsys,
                                                  command, key, value):
         cfg = write_config(tmp_path, {"solve": dict(self.ENTRY, **{key: value})})
@@ -253,6 +253,48 @@ class TestStrictEntries:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"solve.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "similarity",
+                                         "fullrank-check"])
+    def test_solve_section_family_accepted_and_recorded(self, tmp_path,
+                                                        command):
+        # the solve section is a plan entry: solve and similarity solve it
+        # in its family, and fullrank-check, which audits every family,
+        # ignores it as it ignores the rank
+        outs = {}
+        for family in ("inverse", None):
+            solve = dict(self.ENTRY, **({"family": family} if family else {}))
+            cfg = write_config(tmp_path, {"solve": solve})
+            outs[family] = out = tmp_path / f"out_{family}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((outs["inverse"] / "manifest.json").read_text())
+        assert manifest["config"]["solve"]["family"] == "inverse"
+        entry = analysis.PlanEntry(1, 100.0, 8, "inverse")
+        if command == "solve":
+            pair = io_utils.read_embedding_pair(outs["inverse"] / "pair_obj1")
+            X = sample_interactions(SimConfig.from_dict(SIM))[0]
+            want = analysis.solve_plan_entry(X, entry)
+            assert np.array_equal(pair.A, want.A)
+            assert np.array_equal(pair.B, want.B)
+        elif command == "similarity":
+            name = "similarity_item-item_cosine_obj1_inverse"
+            sidecar = json.loads((outs["inverse"] / f"{name}.json").read_text())
+            assert sidecar["provenance"] == entry.to_dict()
+        else:
+            report = "fullrank_report.json"
+            assert ((outs["inverse"] / report).read_bytes()
+                    == (outs[None] / report).read_bytes())
+
+    def test_family_flag_overrides_the_solve_section(self, tmp_path):
+        cfg = write_config(tmp_path, {"solve": dict(self.ENTRY,
+                                                    family="collapse")})
+        out = tmp_path / "out"
+        assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                     "--family", "inverse"]) == 0
+        assert sorted(f.name for f in out.glob("similarity_*.csv")) == [
+            "similarity_item-item_cosine_obj1_inverse.csv"]
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["solve"]["family"] == "inverse"
 
     @pytest.mark.parametrize("argv", [
         ["audit", "--lambda", "5"], ["audit", "--metric", "dot"],
@@ -1592,6 +1634,28 @@ class TestManifest:
         # no timings: a rerun writes the same bytes
         assert ((outs[0] / "manifest.json").read_bytes()
                 == (outs[1] / "manifest.json").read_bytes())
+
+    @pytest.mark.parametrize("command, keys, other", [
+        *[(c, [], []) for c in COMMANDS],
+        ("similarity", ["--family", "collapse"], []),
+        ("similarity", ["--objective", "2", "--lambda", "3"],
+         ["--kind", "user-item", "--metric", "dot"])],
+        ids=COMMANDS + ["similarity_collapse", "similarity_user_item_dot"])
+    def test_manifest_config_reruns_the_command(self, tmp_path, command,
+                                                keys, other):
+        # the flags in `keys` set config keys, so the recorded config holds
+        # them; those in `other` do not, and the rerun passes them again
+        cfg = write_config(tmp_path, {"plan": [ENTRY],
+                                      "solve": dict(ENTRY, standardize=False)})
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert main([command, *keys, *other, "--config", str(cfg),
+                     "--out", str(first)]) == 0
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(
+            json.loads((first / "manifest.json").read_text())["config"]))
+        assert main([command, *other, "--config", str(recorded),
+                     "--out", str(rerun)]) == 0
+        assert tree(rerun) == tree(first)
 
     @pytest.mark.parametrize("command, last", [("simulate", "ground_truth.json"),
                                                ("audit", "report.json")])

@@ -53,8 +53,6 @@ def per_element_csv(m):
 
 def per_element_pgm(v, lo, hi):
     """The heatmap writer's reference: each clipped gray level as one byte."""
-    if hi <= lo:
-        hi = lo + 1.0
     gray = np.clip(np.rint((v - lo) / (hi - lo) * 255.0), 0, 255).astype(np.uint8)
     h, w = gray.shape
     return f"P5\n{w} {h}\n255\n".encode() + gray.tobytes()
@@ -224,8 +222,27 @@ def test_constant_dot_similarity_heatmap_is_black(tmp_path):
                            metric="dot")
     write_similarity(tmp_path, "s", sim, provenance={})
     sidecar = json.loads((tmp_path / "s.json").read_text())
-    assert sidecar["heatmap_range"] == [2.5, 2.5]
+    assert sidecar["heatmap_range"] == [2.5, 3.5]
     assert pgm_gray(tmp_path / "s.pgm").tolist() == [[0] * 4] * 3
+
+
+def test_constant_dot_export_names_the_range_its_heatmap_used(tmp_path):
+    # at lambda 1e9 objective 2 shrinks every dimension to zero, so every
+    # dot product is 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "sim": {"n": 50, "p": 20, "C": 2, "cluster_probs": [0.5, 0.5],
+                "seed": 3}}))
+    out = tmp_path / "out"
+    assert main(["similarity", "--config", str(cfg), "--out", str(out),
+                 "--metric", "dot", "--objective", "2", "--lambda", "1e9",
+                 "--rank", "3"]) == 0
+    path = out / "similarity_item-item_dot_obj2_identity.csv"
+    values = read_matrix_csv(path)
+    assert not values.any()
+    lo, hi = json.loads(path.with_suffix(".json").read_text())["heatmap_range"]
+    assert [lo, hi] == [0.0, 1.0]
+    assert path.with_suffix(".pgm").read_bytes() == per_element_pgm(values, lo, hi)
 
 
 def test_config_hash_stable_and_order_free():

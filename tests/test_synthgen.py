@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from cosine_audit.cli import DEFAULT_SIM
 from cosine_audit.errors import ConfigError
 from cosine_audit.matrix_core import BinaryRows
-from cosine_audit.synthgen import (GroundTruth, SimConfig,
+from cosine_audit.synthgen import (SIM_KEYS, GroundTruth, SimConfig,
                                    _items_per_user, _streams,
                                    figure_item_order,
                                    ground_truth_similarity,
@@ -95,6 +97,17 @@ class TestSimConfig:
         import json
         path.write_text(json.dumps(c.to_dict()))
         assert SimConfig.from_dict(json.loads(path.read_text())) == c
+
+    def test_sim_keys_list_the_fields_in_order(self):
+        assert list(SIM_KEYS) == [f.name for f in dataclasses.fields(SimConfig)]
+
+    # the built-in sim, and the zero-rows sim that CI audits
+    @pytest.mark.parametrize("sim", [
+        {}, {"n": 300, "p": 400, "seed": 7}], ids=["built_in", "zero_rows"])
+    def test_dict_round_trip(self, sim):
+        c = SimConfig.from_dict({**DEFAULT_SIM, **sim})
+        assert SimConfig.from_dict(c.to_dict()) == c
+        assert c.to_dict() == {**DEFAULT_SIM, **sim}
 
     def test_missing_key(self):
         with pytest.raises(ConfigError):
