@@ -253,7 +253,7 @@ def cmd_solve(args) -> int:
     pair = solve_plan_entry(standardize(X) if cfg.standardize else X, entry)
     pair_dir = f"pair_obj{entry.objective}"
     with _writing(cfg) as stage:
-        write_embedding_pair(stage / pair_dir, pair)
+        write_embedding_pair(stage / pair_dir, pair, entry.to_dict())
     print(f"wrote embedding pair to {out / pair_dir}")
     return EXIT_OK
 
@@ -412,7 +412,10 @@ def cmd_fullrank_check(args) -> int:
               f"(deviation {first.deviation:.3e}, tol {first.tol:.3e})",
               file=sys.stderr)
         return EXIT_CHECK
-    print(f"all full-rank checks passed (rank {audit.rank}, "
+    skipped = [c.name for c in audit.checks if c.skipped]
+    print(f"full-rank checks passed, but rank {audit.rank} < p = {p} skipped "
+          f"{len(skipped)} of them: {', '.join(skipped)}" if skipped else
+          f"all full-rank checks passed (rank {audit.rank}, "
           f"{audit.zero_sigma_dims} zero-sigma dims excluded)")
     return EXIT_OK
 

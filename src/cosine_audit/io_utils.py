@@ -250,15 +250,14 @@ def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
     write_pgm(pgm_path, sim.values, lo, hi)
 
 
-def write_embedding_pair(out_dir, pair: EmbeddingPair) -> None:
+def write_embedding_pair(out_dir, pair: EmbeddingPair, entry: dict) -> None:
+    """A.csv, B.csv and meta.json: the keys of the plan entry `entry` that
+    `pair` solves, family included, and its "sigma"."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "A.csv", pair.A)
     write_matrix_csv(out_dir / "B.csv", pair.B)
-    write_json(out_dir / "meta.json", {
-        "lambda": pair.lam, "rank": pair.rank, "objective": pair.objective,
-        "sigma": pair.sigma.tolist(),
-    })
+    write_json(out_dir / "meta.json", {**entry, "sigma": pair.sigma.tolist()})
 
 
 def read_embedding_pair(in_dir) -> EmbeddingPair:

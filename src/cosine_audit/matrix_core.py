@@ -147,7 +147,7 @@ class Spectrum:
             warnings.warn(
                 f"{n_zero} of the top {k} singular values are zero; "
                 "the corresponding embedding dimensions are zero-padded",
-                RuntimeWarning, stacklevel=3)
+                RuntimeWarning, stacklevel=2)
         return s, self.right[:, :k]
 
     @classmethod

@@ -60,23 +60,17 @@ def apply_scaling(pair: EmbeddingPair, d: DiagonalScaling) -> EmbeddingPair:
 
 
 def named_scaling(pair: EmbeddingPair, family: str) -> DiagonalScaling:
-    """Build one of the named D families from the pair's training spectrum."""
+    """Build one of the named D families from the pair's training spectrum;
+    a dimension with sigma = 0 has zero columns: every family scales it by 1."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    s = pair.sigma
-    if family == "identity":
-        return DiagonalScaling(np.ones(pair.rank))
-    degenerate = np.any(s <= (s[0] if s[0] > 0 else 1.0) * 1e-12)
-    if family in ("inverse", "symmetric-matching") and degenerate:
-        raise ValueError(f"family {family!r} needs strictly positive singular values")
-    if family == "collapse":
-        if pair.lam > 0 and degenerate:
-            raise ValueError("collapse family degenerates to zero on sigma=0 dimensions")
-        safe = np.where(s > 0, s, 1.0)
-        return DiagonalScaling((1.0 + pair.lam / safe**2) ** -0.5)
-    if family == "inverse":
-        return DiagonalScaling((1.0 + pair.lam / s**2) ** 0.5)
-    return DiagonalScaling(np.sqrt(1.0 / s))  # symmetric-matching
+    pos = pair.sigma > 0
+    s = np.where(pos, pair.sigma, 1.0)
+    d = (np.ones(pair.rank) if family == "identity"
+         else (1.0 + pair.lam / s**2) ** -0.5 if family == "collapse"
+         else (1.0 + pair.lam / s**2) ** 0.5 if family == "inverse"
+         else np.sqrt(1.0 / s))  # symmetric-matching
+    return DiagonalScaling(np.where(pos, d, 1.0))
 
 
 def apply_rotation(pair: EmbeddingPair, r: RotationMatrix) -> EmbeddingPair:

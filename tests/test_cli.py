@@ -18,6 +18,7 @@ from cosine_audit.io_utils import config_hash, read_matrix_csv
 from cosine_audit.matrix_core import Spectrum, spectrum
 from cosine_audit.mf_solvers import solve_objective1, solve_objective2
 from cosine_audit.remedies import standardize
+from cosine_audit.rescale import FAMILIES
 from cosine_audit.similarity import user_item
 from cosine_audit.synthgen import SAMPLER, SimConfig, sample_interactions
 
@@ -121,6 +122,24 @@ class TestSolveAndSimilarity:
         meta = json.loads((out / "pair_obj1" / "meta.json").read_text())
         assert meta["lambda"] == 10.0
         assert meta["objective"] == 1
+
+    def test_meta_names_the_entry_it_solves(self, tmp_path):
+        # the gauges' pairs differ; each meta.json names its own entry
+        metas, pairs = [], []
+        for family in ("collapse", "inverse"):
+            entry = {"objective": 1, "lambda": 30.0, "rank": 5,
+                     "family": family}
+            cfg = write_config(tmp_path, {"solve": entry})
+            out = tmp_path / family
+            assert main(["solve", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+            meta = json.loads((out / "pair_obj1" / "meta.json").read_text())
+            pair = io_utils.read_embedding_pair(out / "pair_obj1")
+            assert meta == {**entry, "sigma": pair.sigma.tolist()}
+            metas.append(meta)
+            pairs.append(pair)
+        assert metas[0]["sigma"] == metas[1]["sigma"]
+        assert not np.array_equal(pairs[0].A, pairs[1].A)
 
     @pytest.mark.parametrize("objective", [1, 2])
     def test_standardize_solves_the_standardized_x(self, tmp_path, objective):
@@ -311,6 +330,20 @@ class TestStrictEntries:
 
 COMMANDS = ["simulate", "solve", "similarity", "audit", "fullrank-check"]
 ENTRY = {"objective": 1, "lambda": 1.0, "rank": 4}
+
+
+# steep popularity leaves items undrawn, so X's rank is below p = 200
+STEEP = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
+ABOVE = 8  # how far TestZeroSigmaRule's entries reach past rank(X)
+
+
+def steep_rank():
+    return spectrum(sample_interactions(SimConfig.from_dict(STEEP))[0]).rank
+
+
+def zero_padding(k):
+    return (f"warning: {ABOVE} of the top {k} singular values are zero; "
+            "the corresponding embedding dimensions are zero-padded\n")
 
 
 class TestStrictConfig:
@@ -526,21 +559,19 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("argv", [["audit"],
                                       ["similarity", "--family", "inverse"]])
-    def test_failed_solve_leaves_no_directory(self, tmp_path, capsys, argv):
-        # one cluster: every user draws all 5 items, so X has rank 1 and
-        # the inverse family has zero singular values to invert
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "sim": {"n": 50, "p": 5, "C": 1, "cluster_probs": [1.0],
-                    "seed": 3},
-            "plan": [{"objective": 1, "lambda": 1.0, "rank": 5,
-                      "family": "inverse"}],
-            "solve": {"objective": 1, "lambda": 1.0, "rank": 5}}))
+    def test_failed_solve_leaves_no_directory(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        def failing(*args, **kwargs):
+            raise ValueError("the solve failed")
+
+        # both commands solve their objective 1 entry in analysis
+        monkeypatch.setattr(analysis, "solve_objective1", failing)
+        cfg = write_config(tmp_path, {"plan": [dict(ENTRY, family="inverse")],
+                                      "solve": ENTRY})
         out = tmp_path / "new" / "out"
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err.endswith(
-            "compute error: family 'inverse' needs strictly positive "
-            "singular values\n")
+            "compute error: the solve failed\n")
         assert not (tmp_path / "new").exists()
 
     def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
@@ -643,18 +674,21 @@ class TestAudit:
         assert "effective_rank=1 rank=8" in warnings[0]
 
     def test_zero_sigma_warning_is_one_line(self, tmp_path, capsys):
-        # steep popularity leaves items undrawn, so rank p keeps zero sigma
-        sim = dict(SIM, n=300, p=200, beta_item_min=2.5, beta_item_max=3.0)
-        plan = [{"objective": 1, "lambda": 100.0, "rank": 200}]
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"sim": sim, "plan": plan}))
-        assert main(["audit", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert re.fullmatch(r"warning: \d+ of the top 200 singular values "
-                            r"are zero; the corresponding embedding "
-                            r"dimensions are zero-padded", err[0])
+        # rank p keeps zero sigma; both objectives' entries warn from one
+        # place, so once
+        entry = {"objective": 1, "lambda": 100.0, "rank": 200}
+        both = [entry, {**entry, "objective": 2, "lambda": 1.0}]
+        for plan in ([entry], both):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"sim": STEEP, "plan": plan}))
+            assert main(["audit", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            assert re.fullmatch(r"warning: \d+ of the top 200 singular "
+                                r"values are zero; the corresponding "
+                                r"embedding dimensions are zero-padded",
+                                err[0])
 
     def test_rank_p_entry_runs_no_full_rank_checks(self, tmp_path,
                                                    monkeypatch):
@@ -938,6 +972,54 @@ class TestAudit:
         assert not (out / "report.json").exists()
         assert not list(out.glob("similarity_*"))
 
+
+class TestZeroSigmaRule:
+    """An entry above rank(X) is zero-padded in every gauge: a dimension
+    with sigma = 0 has zero columns whatever its scale."""
+
+    @pytest.mark.parametrize("entry", [
+        *({"objective": 1, "lambda": lam, "family": family}
+          for family in FAMILIES for lam in (0.0, 100.0)),
+        {"objective": 2, "lambda": 1.0}],
+        ids=lambda e: f"obj{e['objective']}-{e.get('family', 'identity')}"
+                      f"-lam{e['lambda']:g}")
+    def test_entry_above_rank_of_x_matches_it_at_rank_of_x(
+            self, tmp_path, capsys, entry):
+        r = steep_rank()
+        plan = [dict(entry, rank=r + ABOVE), dict(entry, rank=r)]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": STEEP, "plan": plan}))
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == zero_padding(r + ABOVE)
+        above, at = json.loads((out / "report.json").read_text())["results"]
+        assert above["entry"] == {**at["entry"], "rank": r + ABOVE}
+        assert above["excluded_items"] == at["excluded_items"]
+        assert above["effective_rank"] == at["effective_rank"]
+        for key, value in at["contrast"].items():
+            assert abs(above["contrast"][key] - value) <= 1e-12, key
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        for e in plan:
+            label = analysis.PlanEntry.from_dict(e).label()
+            assert {f"similarity_{label}{suffix}"
+                    for suffix in (".csv", ".json", ".pgm")} <= set(files)
+
+    @pytest.mark.parametrize("command", ["solve", "similarity"])
+    def test_inverse_entry_above_rank_of_x_runs(self, tmp_path, capsys,
+                                                command):
+        k = steep_rank() + ABOVE
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim": STEEP, "solve": {
+            "objective": 1, "lambda": 100.0, "rank": k,
+            "family": "inverse"}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == zero_padding(k)
+        if command == "solve":
+            pair = io_utils.read_embedding_pair(out / "pair_obj1")
+            assert not pair.sigma[-ABOVE:].any()
+            assert not pair.A[:, -ABOVE:].any()
+            assert not pair.B[:, -ABOVE:].any()
 
 
 class TestAuditWorkers:
@@ -1500,6 +1582,32 @@ class TestFullrankCheck:
                      "--out", str(out)]) == 0
         report = json.loads((out / "fullrank_report.json").read_text())
         assert report["all_passed"]
+
+    def test_line_names_the_checks_it_skipped(self, tmp_path, capsys):
+        # below full rank, checks (a)-(c) are skipped and only (d) runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sim": STEEP}))
+        out = tmp_path / "out"
+        assert main(["fullrank-check", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        r = steep_rank()
+        assert capsys.readouterr().out == (
+            f"full-rank checks passed, but rank {r} < p = 200 skipped 3 of "
+            "them: item_item_collapses_to_identity, "
+            "user_user_inverse_matches_raw_data, "
+            "cosine_dot_ranking_agreement\n")
+        report = json.loads((out / "fullrank_report.json").read_text())
+        assert report["all_passed"] and report["rank"] == r
+        assert report["zero_sigma_dims"] == 200 - r
+        assert [c["skipped"] for c in report["checks"]] == [True] * 3 + [False]
+
+    def test_full_rank_line_names_no_skipped_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["fullrank-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == (
+            "all full-rank checks passed (rank 30, 0 zero-sigma dims "
+            "excluded)\n")
 
     def test_objective_2_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"solve": {"objective": 2,

@@ -164,7 +164,9 @@ def test_pgm_binary_format(tmp_path):
 
 def test_embedding_pair_round_trip(tmp_path, rng):
     pair = solve_objective1(rng.standard_normal((8, 5)), 3, 2.0)
-    write_embedding_pair(tmp_path / "pair", pair)
+    write_embedding_pair(tmp_path / "pair", pair,
+                         {"objective": 1, "lambda": 2.0, "rank": 3,
+                          "family": "identity"})
     back = read_embedding_pair(tmp_path / "pair")
     assert np.array_equal(back.A, pair.A)
     assert np.array_equal(back.B, pair.B)

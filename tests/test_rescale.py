@@ -8,7 +8,7 @@ from cosine_audit.matrix_core import normalize_rows
 from cosine_audit.mf_solvers import (objective1_loss, objective2_loss,
                                      predicted_scores, solve_objective1,
                                      solve_objective2)
-from cosine_audit.rescale import (DiagonalScaling, RotationMatrix,
+from cosine_audit.rescale import (FAMILIES, DiagonalScaling, RotationMatrix,
                                   apply_rotation, apply_scaling,
                                   named_scaling, random_rotation,
                                   random_scaling)
@@ -103,11 +103,21 @@ class TestNamedScaling:
         d = named_scaling(pair, "symmetric-matching")
         assert np.allclose(d.entries, [0.5, 1.0, 1.0])
 
-    def test_zero_sigma_rejected(self, pair):
-        pair = replace(pair, sigma=np.array([2.0, 1.0, 0.0]))
-        for family in ("inverse", "symmetric-matching"):
-            with pytest.raises(ValueError):
-                named_scaling(pair, family)
+    def test_zero_sigma_scaled_by_one(self, pair):
+        # a dimension the spectrum cut to sigma = 0 has zero columns, so no
+        # family rescales it, and the others keep their formulas' bits
+        s = np.array([2.0, 0.5])
+        for lam in (0.0, 100.0):
+            zero = replace(pair, lam=lam, sigma=np.append(s, 0.0))
+            kept = {"identity": np.ones(2),
+                    "collapse": (1.0 + lam / s**2) ** -0.5,
+                    "inverse": (1.0 + lam / s**2) ** 0.5,
+                    "symmetric-matching": np.sqrt(1.0 / s)}
+            assert set(kept) == set(FAMILIES)
+            for family, entries in kept.items():
+                d = named_scaling(zero, family).entries
+                assert d[2] == 1.0
+                assert np.array_equal(d[:2], entries), (family, lam)
 
     def test_unknown_family(self, pair):
         with pytest.raises(ValueError):
