@@ -232,19 +232,10 @@ class PlanResult:
     entry: PlanEntry
     contrast: ClusterContrast
     excluded_items: tuple[int, ...]
-    effective_rank: int  # nonzero columns of B after shrinkage
     pair: EmbeddingPair = field(repr=False, compare=False)  # the entry's solve
 
-    @property
-    def degenerate(self) -> bool:
-        """At most one dimension left: every cosine is +-1 or undefined, so
-        the contrast says nothing about the data."""
-        return self.effective_rank <= 1
-
     def to_dict(self) -> dict:
-        return {"entry": self.entry.to_dict(),
-                "effective_rank": self.effective_rank,
-                "degenerate": self.degenerate,
+        return {"entry": self.entry.to_dict(), **self.pair.degeneracy(),
                 "contrast": self.contrast.to_dict(),
                 "excluded_items": list(self.excluded_items)}
 
@@ -260,11 +251,19 @@ class AuditReport:
 
 
 def solve_plan_entry(X, entry: PlanEntry) -> EmbeddingPair:
-    """Solve one entry; X is the training matrix or its `Spectrum`."""
+    """Solve one entry; X is the training matrix or its `Spectrum`. Warns
+    when the pair is degenerate, for every command that solves an entry."""
     solver = solve_objective1 if entry.objective == 1 else solve_objective2
     pair = solver(X, entry.rank, entry.lam)
     if entry.family != "identity":
         pair = apply_scaling(pair, named_scaling(pair, entry.family))
+    if pair.degenerate:
+        what = ("every item is excluded and the entry has no cosines"
+                if pair.effective_rank == 0 else
+                "its cosines are all +-1 and its contrast is not a finding")
+        warnings.warn(f"degenerate plan entry {entry.label()}: effective_rank="
+                      f"{pair.effective_rank} rank={entry.rank}; {what}",
+                      RuntimeWarning, stacklevel=2)
     return pair
 
 
@@ -290,23 +289,13 @@ def _unit_contrast(units: np.ndarray, clusters: np.ndarray) -> ClusterContrast:
 def run_plan_entry(spec: Spectrum, gt: GroundTruth,
                    entry: PlanEntry) -> PlanResult:
     """One entry's contrast from the unit rows of B; `cluster_contrast` of
-    their cosine matrix is the reference. Warns when it is degenerate."""
+    their cosine matrix is the reference."""
     pair = solve_plan_entry(spec, entry)
     units, zero = normalize_rows(pair.B)
-    res = PlanResult(
+    return PlanResult(
         entry=entry,
         contrast=_unit_contrast(units, np.delete(gt.item_cluster, zero)),
-        excluded_items=tuple(int(i) for i in zero),
-        effective_rank=int(np.count_nonzero(pair.B.any(axis=0))),
-        pair=pair)
-    if res.degenerate:
-        what = ("every item is excluded and the entry has no cosines"
-                if res.effective_rank == 0 else
-                "its cosines are all +-1 and its contrast is not a finding")
-        warnings.warn(f"degenerate plan entry {entry.label()}: effective_rank="
-                      f"{res.effective_rank} rank={entry.rank}; {what}",
-                      RuntimeWarning, stacklevel=2)
-    return res
+        excluded_items=tuple(int(i) for i in zero), pair=pair)
 
 
 def figure_similarity(res: PlanResult, order: np.ndarray) -> SimilarityMatrix:

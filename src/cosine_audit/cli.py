@@ -268,11 +268,13 @@ def cmd_similarity(args) -> int:
     X = standardize(X) if cfg.standardize else X
     kind_fn = {"item-item": item_item, "user-user": user_user,
                "user-item": user_item}[args.kind]
-    sim = kind_fn(X, solve_plan_entry(X, entry), args.metric, on_zero="drop")
+    pair = solve_plan_entry(X, entry)
+    sim = kind_fn(X, pair, args.metric, on_zero="drop")
     name = (f"similarity_{args.kind}_{args.metric}_obj{entry.objective}"
             f"_{entry.family}")
     with _writing(cfg) as stage:
-        write_similarity(stage, name, sim, entry.to_dict())
+        write_similarity(stage, name, sim,
+                         {**entry.to_dict(), **pair.degeneracy()})
     print(f"wrote {out / (name + '.csv')}")
     return EXIT_OK
 

@@ -252,12 +252,14 @@ def write_similarity(out_dir, name: str, sim: SimilarityMatrix,
 
 def write_embedding_pair(out_dir, pair: EmbeddingPair, entry: dict) -> None:
     """A.csv, B.csv and meta.json: the keys of the plan entry `entry` that
-    `pair` solves, family included, and its "sigma"."""
+    `pair` solves, family included, and its "effective_rank", "degenerate"
+    and "sigma"."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "A.csv", pair.A)
     write_matrix_csv(out_dir / "B.csv", pair.B)
-    write_json(out_dir / "meta.json", {**entry, "sigma": pair.sigma.tolist()})
+    write_json(out_dir / "meta.json", {**entry, **pair.degeneracy(),
+                                       "sigma": pair.sigma.tolist()})
 
 
 def read_embedding_pair(in_dir) -> EmbeddingPair:

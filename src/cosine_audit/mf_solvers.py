@@ -50,6 +50,21 @@ class EmbeddingPair:
             raise ValueError(f"objective must be the int 1 or 2, "
                              f"got {self.objective!r}")
 
+    @property
+    def effective_rank(self) -> int:
+        """Nonzero columns of B after shrinkage; a gauge keeps them."""
+        return int(np.count_nonzero(self.B.any(axis=0)))
+
+    @property
+    def degenerate(self) -> bool:
+        """At most one dimension left: every cosine is +-1 or undefined."""
+        return self.effective_rank <= 1
+
+    def degeneracy(self) -> dict:
+        """The keys that every record of this pair's entry carries."""
+        return {"effective_rank": self.effective_rank,
+                "degenerate": self.degenerate}
+
 
 def _closed_form(X, k: int, lam: float, objective: int) -> EmbeddingPair:
     """The minimizer of the module docstring from the top k dimensions of X,

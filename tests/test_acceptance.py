@@ -147,7 +147,7 @@ def test_criterion_7_arbitrariness_at_desk_scale(desk_instance):
     reports = [compare_configurations(spectrum(x), gt,
                                       [PlanEntry(2, 10.0, 20)])
                for _ in range(3)]
-    degenerate = any(r.results[0].degenerate for r in reports)
+    degenerate = any(r.results[0].pair.degenerate for r in reports)
     obj2 = [r.results[0].contrast.contrast for r in reports]
     for seed in range(5):
         rotated = apply_rotation(solves[0], random_rotation(20, seed))

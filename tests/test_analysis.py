@@ -184,6 +184,16 @@ class TestAuditFullRank:
         assert audit.to_dict() == audit_full_rank(desk_rows.dense(),
                                                   100.0).to_dict()
 
+    def test_rank_one_x_flags_each_family_entry(self, rng):
+        # every family keeps X's one dimension: each solved entry warns
+        x = np.outer(rng.uniform(1.0, 2.0, 20), rng.uniform(1.0, 2.0, 4))
+        with pytest.warns(RuntimeWarning) as caught:
+            audit_full_rank(x, 1.0)
+        assert sorted(str(w.message) for w in caught) == [
+            f"degenerate plan entry obj1_lam1_k1_{family}: effective_rank=1 "
+            "rank=1; its cosines are all +-1 and its contrast is not a "
+            "finding" for family in ("collapse", "identity", "inverse")]
+
     def test_zero_user_row_raises(self, dense_x):
         x = dense_x.copy()
         x[3] = 0.0
@@ -417,7 +427,7 @@ class TestCompareConfigurations:
             "degenerate plan entry obj2_lam20_k3_identity: effective_rank=0 "
             "rank=3; every item is excluded and the entry has no cosines"]
         res = report.results[0]
-        assert (res.effective_rank, res.excluded_items) == (0, (0, 1, 2))
+        assert (res.pair.effective_rank, res.excluded_items) == (0, (0, 1, 2))
         assert res.contrast.contrast is None
         export = figure_similarity(res, figure_item_order(gt))
         assert export.values.shape == (0, 0)

@@ -135,7 +135,8 @@ class TestSolveAndSimilarity:
                          str(out)]) == 0
             meta = json.loads((out / "pair_obj1" / "meta.json").read_text())
             pair = io_utils.read_embedding_pair(out / "pair_obj1")
-            assert meta == {**entry, "sigma": pair.sigma.tolist()}
+            assert meta == {**entry, "effective_rank": 5, "degenerate": False,
+                            "sigma": pair.sigma.tolist()}
             metas.append(meta)
             pairs.append(pair)
         assert metas[0]["sigma"] == metas[1]["sigma"]
@@ -298,7 +299,9 @@ class TestStrictEntries:
         elif command == "similarity":
             name = "similarity_item-item_cosine_obj1_inverse"
             sidecar = json.loads((outs["inverse"] / f"{name}.json").read_text())
-            assert sidecar["provenance"] == entry.to_dict()
+            assert sidecar["provenance"] == {**entry.to_dict(),
+                                             "effective_rank": 8,
+                                             "degenerate": False}
         else:
             report = "fullrank_report.json"
             assert ((outs["inverse"] / report).read_bytes()
@@ -1020,6 +1023,70 @@ class TestZeroSigmaRule:
             assert not pair.sigma[-ABOVE:].any()
             assert not pair.A[:, -ABOVE:].any()
             assert not pair.B[:, -ABOVE:].any()
+
+
+# what each command that solves an entry runs, and where it records the
+# entry's effective rank and degenerate flag
+SOLVING = {
+    "solve": (["solve"], "pair_obj2/meta.json"),
+    "similarity-item-item": (["similarity", "--kind", "item-item"],
+                             "similarity_item-item_cosine_obj2_identity.json"),
+    "similarity-user-item": (["similarity", "--kind", "user-item"],
+                             "similarity_user-item_cosine_obj2_identity.json"),
+    "audit": (["audit"], "report.json"),
+}
+
+
+def recorded_rank(path):
+    """(effective_rank, degenerate) as the file at `path` records them for
+    the one entry it was given."""
+    record = json.loads(path.read_text())
+    record = (record["results"][0] if "results" in record
+              else record.get("provenance", record))
+    return record["effective_rank"], record["degenerate"]
+
+
+class TestDegenerateRule:
+    """Every command that solves an entry flags it from that one solve: one
+    warning line per distinct degenerate entry, and the effective rank and
+    flag that report.json records for it."""
+
+    RANK = 8
+
+    @pytest.mark.parametrize("command", SOLVING)
+    @pytest.mark.parametrize("where, effective_rank", [
+        ("above-sigma1", 0), ("between-sigma2-sigma1", 1),
+        ("below-sigma-k", RANK)])
+    def test_one_line_and_the_report_flags(self, tmp_path, capsys, command,
+                                           where, effective_rank):
+        s = spectrum(sample_interactions(SimConfig.from_dict(SIM))[0]
+                     ).singular_values
+        lam = {"above-sigma1": 2 * s[0],
+               "between-sigma2-sigma1": (s[0] + s[1]) / 2,
+               "below-sigma-k": s[self.RANK - 1] / 2}[where]
+        entry = {"objective": 2, "lambda": float(lam), "rank": self.RANK}
+        # audit's plan lists the entry twice: equal entries print one line
+        cfg = write_config(tmp_path, {"solve": entry, "plan": [entry, entry]})
+        reference = tmp_path / "reference"
+        assert main(["audit", "--config", str(cfg), "--out",
+                     str(reference)]) == 0
+        capsys.readouterr()
+        want = recorded_rank(reference / "report.json")
+        assert want == (effective_rank, effective_rank <= 1)
+
+        argv, record = SOLVING[command]
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("warning: degenerate plan entry")]
+        what = ("every item is excluded and the entry has no cosines"
+                if effective_rank == 0 else
+                "its cosines are all +-1 and its contrast is not a finding")
+        label = analysis.PlanEntry.from_dict(entry).label()
+        assert lines == ([f"warning: degenerate plan entry {label}: "
+                          f"effective_rank={effective_rank} rank={self.RANK}; "
+                          f"{what}"] if effective_rank <= 1 else [])
+        assert recorded_rank(out / record) == want
 
 
 class TestAuditWorkers:

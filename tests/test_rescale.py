@@ -4,7 +4,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosine_audit.matrix_core import normalize_rows
+from cosine_audit.matrix_core import normalize_rows, spectrum
 from cosine_audit.mf_solvers import (objective1_loss, objective2_loss,
                                      predicted_scores, solve_objective1,
                                      solve_objective2)
@@ -122,6 +122,26 @@ class TestNamedScaling:
     def test_unknown_family(self, pair):
         with pytest.raises(ValueError):
             named_scaling(pair, "whatever")
+
+
+class TestEffectiveRank:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gauge_keeps_effective_rank(self, small_x, family):
+        # objective 1 with a zero column in X keeps a zero sigma; objective 2
+        # keeps the dimensions whose sigma is above lambda
+        x = small_x.copy()
+        x[:, 0] = 0.0
+        with pytest.warns(RuntimeWarning, match="singular values are zero"):
+            zero_sigma = solve_objective1(x, 6, 1.0)
+        s = spectrum(small_x).singular_values
+        shrunk, one = (solve_objective2(small_x, 6, float(s[i] + s[i + 1]) / 2)
+                       for i in (1, 0))
+        for pair, kept in ((zero_sigma, 5), (shrunk, 2), (one, 1)):
+            assert pair.effective_rank == kept
+            for d in (named_scaling(pair, family), random_scaling(6, seed=3)):
+                scaled = apply_scaling(pair, d)
+                assert scaled.effective_rank == kept
+                assert scaled.degenerate == pair.degenerate == (kept <= 1)
 
 
 class TestRotation:
